@@ -28,7 +28,6 @@ from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
 from .metrics import linear_entropy, purity, von_neumann_entropy
 from .quantum import maximally_mixed
 from .scenarios import ConfigError, build_protocols, metric_row, resolve_config, scenario_kind
-from .validate import run_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,7 +93,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
     (_, p), = build_protocols(cfg).items()
     rho, gap = steady_state(p)
     spectrum = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    row = metric_row(cfg)
+    row = metric_row(cfg, solved=(rho, gap))
 
     print(f"scenario: {cfg['scenario']} (d={cfg['d']}, tau1={cfg['tau1']:g}, tau2={cfg['tau2']:g}, "
           f"lambda={cfg['lambda']:g}, gamma={cfg['gamma']:g})")
@@ -209,6 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import run_all  # deferred: only this command needs the check table
     try:
         results = run_all(points=args.points, only=args.only)
     except KeyError as exc:

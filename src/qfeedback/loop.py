@@ -4,11 +4,14 @@ controller alone (a unitary for coherent feedback, a measurement plus
 outcome-conditioned unitary for measurement-based feedback, or a general
 POVM), a second partial swap, and a reset of the controller.
 
-Provides the unconditional CP map, its superoperator (acting on column-stacked
-matrices), the steady state via eigendecomposition with an independent
-fixed-point-iteration cross-check, per-outcome conditional branches, and
-seeded stochastic trajectory sampling (single trajectories and vectorised
-ensembles with identical statistics).
+One cycle splits into one branch per controller outcome j, each a d²xd²
+Liouville matrix L_j on column-stacked density matrices, vec(AρB) =
+(Bᵀ⊗A) vec ρ (Wood, Biamonte & Cory, QIC 2015): with η = Σ_l e_l |f_l><f_l|
+and A_jkl = (1⊗<k|) U₂ (1⊗M_j) U₁ (1⊗|f_l>), L_j = (Σ_kl e_l Ā_jkl⊗A_jkl)·N,
+where N = Σ K̄⊗K is the noise channel. The stack L (J x d² x d²) is built
+once per protocol; the superoperator Σ_j L_j, its steady state (cross-checked
+by fixed-point iteration), the branch probabilities vec(1)ᵀ L_j vec ρ and the
+seeded trajectories (one trajectory is the n=1 ensemble step) read from it.
 
 The controller is a single qudit; protocols with composite controllers are
 out of scope (the stage types are the extension point).
@@ -27,11 +30,13 @@ from .quantum import (
     check_density_matrix,
     clean_state,
     ket,
-    partial_swap,
     unitary_mapping,
 )
 
 PROBABILITY_FLOOR = 1e-15
+# Joint system-controller dimension d² <= 256 (the linops contract). The
+# branch stack L holds J·d⁴ complex entries: 16.8 MB at d = 16 with J = d.
+MAX_DIM = 16
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -110,9 +115,11 @@ def all_to_target_stage(d: int, target: np.ndarray | int = 0) -> ProjectiveStage
 class FeedbackProtocol:
     """Everything defining one feedback collision.
 
-    d: system (= controller) dimension; noise: the CP map hitting the system
-    at the start of each cycle; tau1/tau2: transmissivities of the two partial
-    swaps; eta: controller reset state; stage: the in-loop operation.
+    d: system (= controller) dimension, at most MAX_DIM; noise: the CP map
+    hitting the system at the start of each cycle; tau1/tau2: transmissivities
+    of the two partial swaps; eta: controller reset state; stage: the in-loop
+    operation. L, built on construction, is the stack of per-outcome Liouville
+    matrices (J x d² x d², column-stacking convention).
     """
 
     d: int
@@ -121,13 +128,12 @@ class FeedbackProtocol:
     tau2: float
     eta: np.ndarray
     stage: InLoopStage
-    # joint-space operators, precomputed once per protocol
-    _u1: np.ndarray = field(init=False, repr=False, compare=False)
-    _u2: np.ndarray = field(init=False, repr=False, compare=False)
-    _mids: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.d
+        if d > MAX_DIM:
+            raise ValueError(f"d = {d} exceeds the limit d <= {MAX_DIM} (joint dimension d² <= {MAX_DIM ** 2})")
         if self.noise.dim != d:
             raise ValueError(f"noise channel dim {self.noise.dim} != {d}")
         for name, t in (("tau1", self.tau1), ("tau2", self.tau2)):
@@ -135,51 +141,46 @@ class FeedbackProtocol:
                 raise ValueError(f"{name} must be in [0,1], got {t}")
         eta = check_density_matrix(self.eta, what="controller reset state")
         object.__setattr__(self, "eta", eta)
-        u1 = partial_swap(d, self.tau1)
-        u2 = partial_swap(d, self.tau2)
-        eye = np.eye(d, dtype=complex)
-        mids = tuple(np.kron(eye, m) @ u1 for m in self.stage.controller_ops(d))
-        object.__setattr__(self, "_u1", u1)
-        object.__setattr__(self, "_u2", u2)
-        object.__setattr__(self, "_mids", mids)
+        object.__setattr__(self, "L", _branch_liouvillians(self, self.tau2))
 
     @property
     def n_outcomes(self) -> int:
-        return len(self._mids)
+        return len(self.L)
 
 
-def _apply_noise_batch(states: np.ndarray, noise: KrausChannel) -> np.ndarray:
-    out = np.zeros_like(states)
-    for k in noise.kraus:
-        out += np.einsum("ab,nbc,dc->nad", k, states, k.conj(), optimize=True)
-    return out
+def _liouville(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Σ_i w_i Ā_i⊗A_i for each stack ops[j] of operators A_i, shape (J, n, d, d):
+    with X[i, (b, e)] = A_i[b, e], Xᵀ·diag(w)·X̄ holds Σ_i w_i A_i[b, e] Ā_i[a, c],
+    which a reshuffle moves to the Kronecker index [(a, b), (c, e)]."""
+    n_j, n, d, _ = ops.shape
+    x = ops.reshape(n_j, n, d * d)
+    prod = np.swapaxes(x, 1, 2) @ (weights[:, None] * x.conj())
+    return prod.reshape(n_j, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(n_j, d * d, d * d)
 
 
-def _joint_batch(states: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    n, d, _ = states.shape
-    joint = np.einsum("nab,ce->nacbe", states, eta)
-    return joint.reshape(n, d * d, d * d)
+def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:
+    """Per-outcome Liouville matrices of a cycle whose second coupling has
+    transmissivity `tau2` (p.tau2; 1 stops before the second coupling).
 
-
-def _ptrace_controller_batch(joint: np.ndarray, d: int) -> np.ndarray:
-    n = joint.shape[0]
-    return np.einsum("nacbc->nab", joint.reshape(n, d, d, d, d))
-
-
-def _mid_branches(states: np.ndarray, p: FeedbackProtocol) -> list[np.ndarray]:
-    """Unnormalised joint states after noise, first swap and in-loop branch j."""
-    noisy = _apply_noise_batch(states, p.noise)
-    joint = _joint_batch(noisy, p.eta)
-    return [m @ joint @ m.conj().T for m in p._mids]
-
-
-def _cycle_raw_batch(states: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
-    """The linear cycle map applied to a batch of matrices, no validation or hygiene."""
-    out = 0
-    for mid in _mid_branches(states, p):
-        fin = p._u2 @ mid @ p._u2.conj().T
-        out = out + _ptrace_controller_batch(fin, p.d)
-    return out
+    U = √τ·1 - i√(1-τ)·S splits U₂(1⊗M_j)U₁ into four terms, so A_jkl =
+    c₁₁<k|M_j|f_l> 1 - i c₁₂|f_l><k|M_j - i c₂₁ M_j|f_l><k| - c₂₂<k|f_l> M_j.
+    Each c is one square root, e.g. c₁₂ = √(τ₂(1-τ₁)), not a product of two,
+    which keeps dyadic entries (τ = 1/2) exact.
+    """
+    d, tau1 = p.d, p.tau1
+    e, f = np.linalg.eigh(p.eta)
+    keep = e != 0.0  # a pure or rank-deficient reset state needs fewer Kraus terms
+    e, f = e[keep], f[:, keep]
+    m = np.stack(p.stage.controller_ops(d))
+    mf = m @ f
+    eye = np.eye(d)
+    kraus = (np.sqrt(tau2 * tau1) * np.einsum("jkl,ab->jklab", mf, eye)
+             - 1j * np.sqrt(tau2 * (1.0 - tau1)) * np.einsum("al,jkb->jklab", f, m)
+             - 1j * np.sqrt((1.0 - tau2) * tau1) * np.einsum("jal,kb->jklab", mf, eye)
+             - np.sqrt((1.0 - tau2) * (1.0 - tau1)) * np.einsum("kl,jab->jklab", f, m))
+    kraus = kraus.reshape(len(m), d * len(e), d, d)  # [j, (k, l), a, b]
+    noise = _liouville(np.stack(p.noise.kraus)[None], np.ones(len(p.noise.kraus)))[0]
+    return _liouville(kraus, np.tile(e, d)) @ noise
 
 
 def cycle_unconditional(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
@@ -187,32 +188,36 @@ def cycle_unconditional(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
     rho = check_density_matrix(rho)
     if rho.shape != (p.d, p.d):
         raise ValueError(f"state shape {rho.shape} does not match protocol d={p.d}")
-    out = _cycle_raw_batch(rho[None], p)[0]
-    return clean_state(out)
+    return clean_state(unstack(p.L.sum(axis=0) @ stack(rho), p.d))
 
 
 def conditional_branches(rho: np.ndarray, p: FeedbackProtocol) -> list[tuple[float, np.ndarray]]:
     """Per-outcome (probability, normalised post-cycle system state)."""
     rho = check_density_matrix(rho)
+    outs = p.L @ stack(rho)
     branches = []
-    for mid in _mid_branches(rho[None], p):
-        prob = float(np.einsum("naa->n", mid).real[0])
-        fin = p._u2 @ mid @ p._u2.conj().T
-        sys = _ptrace_controller_batch(fin, p.d)[0]
+    for prob, out in zip(_traces(outs, p.d).tolist(), outs):
         if prob > PROBABILITY_FLOOR:
-            branches.append((prob, clean_state(sys / prob)))
+            branches.append((prob, clean_state(unstack(out, p.d) / prob)))
         else:
             branches.append((max(prob, 0.0), np.full((p.d, p.d), np.nan)))
     return branches
 
 
 def stack(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector (Fortran order)."""
-    return np.asarray(rho, dtype=complex).flatten(order="F")
+    """Column-stack a matrix (or the last two axes of a batch) into a vector."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1)
 
 
 def unstack(vec: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(vec, dtype=complex).reshape(d, d, order="F")
+    vec = np.asarray(vec, dtype=complex)
+    return np.swapaxes(vec.reshape(*vec.shape[:-1], d, d), -1, -2)
+
+
+def _traces(vecs: np.ndarray, d: int) -> np.ndarray:
+    """vec(1)ᵀ v along the last axis: the traces of column-stacked matrices."""
+    return vecs[..., :: d + 1].sum(axis=-1).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,19 +240,13 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unstack(self.matrix @ stack(rho), self.d)
+        """The map applied to a matrix or a batch of matrices (no validation or hygiene)."""
+        return unstack(stack(rho) @ self.matrix.T, self.d)
 
 
 def build_superoperator(p: FeedbackProtocol) -> Superoperator:
-    """Assemble the cycle superoperator column by column from matrix units."""
-    d = p.d
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for j in range(d):       # column-stacking: basis vector i + d*j is |i><j|
-        for i in range(d):
-            units[i + d * j, i, j] = 1.0
-    images = _cycle_raw_batch(units, p)
-    cols = [stack(images[k]) for k in range(d * d)]
-    return Superoperator(d, np.column_stack(cols))
+    """The cycle superoperator Σ_j L_j."""
+    return Superoperator(p.d, p.L.sum(axis=0))
 
 
 def steady_state(p: FeedbackProtocol) -> tuple[np.ndarray, float]:
@@ -315,27 +314,12 @@ def sample_trajectory(
     stages are deterministic: outcome 0 with probability 1.
     """
     rho = check_density_matrix(rho0)
-    uniforms = _trajectory_uniforms(seed, trajectory_index, steps)
-    records = []
-    for step in range(1, steps + 1):
-        branches = conditional_branches(rho, p)
-        probs = np.array([b[0] for b in branches])
-        cum = np.cumsum(probs)
-        j = int(np.searchsorted(cum, uniforms[step - 1] * cum[-1], side="right"))
-        j = min(j, len(branches) - 1)
-        if probs[j] <= PROBABILITY_FLOOR:
-            raise RuntimeError(f"sampled branch {j} with probability {probs[j]:.3e}")
-        rho = branches[j][1]
-        records.append(
-            TrajectoryRecord(
-                step=step,
-                outcome=j,
-                probability=float(probs[j]),
-                state=rho,
-                entropy=float(_entropy_batch(np.linalg.eigvalsh(rho), p.d)),
-            )
-        )
-    return records
+    uniforms = _trajectory_uniforms(seed, trajectory_index, steps)[None]
+    return [
+        TrajectoryRecord(step=t + 1, outcome=int(j[0]), probability=float(pj[0]),
+                         state=states[0], entropy=float(_entropy_batch(w[0], p.d)))
+        for t, (_, j, pj, states, w) in enumerate(_filtered_steps(rho, p, uniforms))
+    ]
 
 
 @dataclass
@@ -368,6 +352,28 @@ def _hygiene_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return states, w
 
 
+def _filtered_steps(rho0: np.ndarray, p: FeedbackProtocol, uniforms: np.ndarray):
+    """Conditional trajectories from rho0, one row of `uniforms` (n x steps) each.
+    Every step draws outcome j by inverse CDF over p_j = vec(1)ᵀ L_j vec ρ and
+    yields (stacked inputs, outcomes, probabilities, cleaned outputs, spectra)."""
+    n, steps = uniforms.shape
+    d, rows = p.d, np.arange(n)
+    vecs = np.broadcast_to(stack(rho0), (n, d * d))
+    for t in range(steps):
+        outs = np.einsum("jab,nb->jna", p.L, vecs)
+        probs = _traces(outs, d).T
+        cum = np.cumsum(probs, axis=1)
+        u = uniforms[:, t] * cum[:, -1]
+        chosen = (u[:, None] >= cum).sum(axis=1)
+        np.clip(chosen, 0, len(p.L) - 1, out=chosen)
+        pj = probs[rows, chosen]
+        if float(pj.min()) <= PROBABILITY_FLOOR:
+            raise RuntimeError(f"sampled a branch with probability {pj.min():.3e}, below the floor")
+        states, spectra = _hygiene_batch(unstack(outs[chosen, rows] / pj[:, None], d))
+        yield vecs, chosen, pj, states, spectra
+        vecs = stack(states)
+
+
 def _run_chunk(
     rho0: np.ndarray,
     p: FeedbackProtocol,
@@ -384,24 +390,12 @@ def _run_chunk(
     entropies = np.zeros((n, steps))
     rho11 = np.zeros((n, steps))
     worst = -np.inf
-    rows = np.arange(n)
-    for t in range(steps):
-        mids = _mid_branches(states, p)
-        probs = np.stack([np.einsum("naa->n", m).real for m in mids], axis=1)
-        cum = np.cumsum(probs, axis=1)
-        u = uniforms[:, t] * cum[:, -1]
-        chosen = (u[:, None] >= cum).sum(axis=1)
-        np.clip(chosen, 0, len(mids) - 1, out=chosen)
-        pj = probs[rows, chosen]
-        if float(pj.min()) <= PROBABILITY_FLOOR:
-            raise RuntimeError("sampled a branch with probability below the floor")
-        mid = np.stack(mids)[chosen, rows] / pj[:, None, None]
-        if check_majorization:
-            rho_j = _ptrace_controller_batch(mid, d)
+    # branch maps that stop before the second coupling: the pre-U₂ system state
+    mids = _branch_liouvillians(p, 1.0) if check_majorization else None
+    for t, (vecs, chosen, pj, states, spectra) in enumerate(_filtered_steps(rho0, p, uniforms)):
+        if mids is not None:
+            rho_j = unstack(np.einsum("nab,nb->na", mids[chosen], vecs) / pj[:, None], d)
             w_mid = np.sort(np.linalg.eigvalsh(0.5 * (rho_j + np.conj(np.swapaxes(rho_j, 1, 2)))), axis=1)[:, ::-1]
-        fin = p._u2 @ mid @ p._u2.conj().T
-        states, spectra = _hygiene_batch(_ptrace_controller_batch(fin, d))
-        if check_majorization:
             # spectrum of the branch output must be majorized by
             # tau2 * spectrum(rho_j) + (1 - tau2) * (pure spectrum)
             bound = p.tau2 * w_mid

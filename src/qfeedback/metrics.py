@@ -58,6 +58,16 @@ def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.stack([psi0, psi1], axis=1), w, nodes
 
 
+def _bitflip_fidelities(p, psi: np.ndarray) -> np.ndarray:
+    """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi, with ψ_X = σ_x ψ and Φ the
+    protocol's unconditional cycle."""
+    from .loop import build_superoperator  # deferred: loop builds on quantum only
+
+    outs = build_superoperator(p).apply(np.einsum("na,nb->nab", psi, psi.conj()))
+    targets = psi @ pauli_x.T  # σ_x ψ, row-wise
+    return np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
+
+
 def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
     """Haar-averaged fidelity of the protocol's output to sigma_x |psi>.
 
@@ -65,8 +75,6 @@ def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
     with ψ_X = σ_x ψ. Requires a qubit protocol with identity noise (the
     bit-flip benchmark is defined without system noise).
     """
-    from .loop import _cycle_raw_batch  # deferred: loop builds on quantum only
-
     if nodes < 4:
         raise ValueError(f"need at least 4 quadrature nodes per axis, got {nodes}")
     if p.d != 2:
@@ -74,10 +82,7 @@ def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
     if len(p.noise.kraus) != 1 or not np.allclose(p.noise.kraus[0], np.eye(2), atol=1e-12):
         raise ValueError("the bit-flip benchmark assumes identity noise")
     psi, w, n_phi = _bloch_states(nodes)
-    states = np.einsum("na,nb->nab", psi, psi.conj())
-    outs = _cycle_raw_batch(states, p)
-    targets = psi @ pauli_x.T  # σ_x ψ, row-wise
-    fids = np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
+    fids = _bitflip_fidelities(p, psi)
     per_polar = fids.reshape(nodes, n_phi).mean(axis=1)  # exact trapezoid on the circle
     return float(0.5 * np.sum(w * per_polar))
 
@@ -85,15 +90,9 @@ def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
 def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
     """Monte-Carlo cross-check of the quadrature: Haar qubit states drawn as
     normalised pairs of standard complex Gaussians."""
-    from .loop import _cycle_raw_batch
-
     if p.d != 2:
         raise ValueError("the bit-flip benchmark is qubit-only")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
     psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    states = np.einsum("na,nb->nab", psi, psi.conj())
-    outs = _cycle_raw_batch(states, p)
-    targets = psi @ pauli_x.T
-    fids = np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
-    return float(fids.mean())
+    return float(_bitflip_fidelities(p, psi).mean())

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import oracles
 from .loop import (
+    MAX_DIM,
     CoherentStage,
     FeedbackProtocol,
     PovmStage,
@@ -106,8 +107,8 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
 def _validate_resolved(cfg: dict) -> None:
     try:
         d = int(cfg["d"])
-        if d < 2:
-            raise ConfigError(f"d must be >= 2, got {d}")
+        if not 2 <= d <= MAX_DIM:
+            raise ConfigError(f"d must be in [2, {MAX_DIM}] (joint dimension d² <= {MAX_DIM ** 2}), got {d}")
         cfg["d"] = d
         for key in ("tau", "tau1", "tau2", "lambda", "gamma", "a", "b"):
             x = float(cfg[key]) if key in cfg else 0.0
@@ -273,8 +274,7 @@ def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return pauli_x @ p0, pauli_x @ p1
 
 
-def _steady_metrics(p: FeedbackProtocol, prefix: str = "") -> dict[str, float]:
-    rho, gap = steady_state(p)
+def _steady_metrics(rho: np.ndarray, gap: float, prefix: str = "") -> dict[str, float]:
     w = np.sort(np.linalg.eigvalsh(rho))[::-1]
     row = {
         f"{prefix}alpha0": float(w[0]),
@@ -320,15 +320,17 @@ def _oracle_for_steady(cfg: dict) -> dict[str, float]:
     return {}
 
 
-def metric_row(cfg: dict) -> dict[str, float]:
-    """Compute the full metric row for a resolved config (sweep/steady output)."""
+def metric_row(cfg: dict, solved: tuple[np.ndarray, float] | None = None) -> dict[str, float]:
+    """Compute the full metric row for a resolved config (sweep/steady output).
+    `solved`: the steady scenario's (state, gap), when the caller already has it."""
     name = cfg["scenario"]
     kind = scenario_kind(name)
-    protos = build_protocols(cfg)
 
     if kind == "steady":
-        (_, p), = protos.items()
-        row = _steady_metrics(p)
+        if solved is None:
+            (_, p), = build_protocols(cfg).items()
+            solved = steady_state(p)
+        row = _steady_metrics(*solved)
         oracle = _oracle_for_steady(cfg)
         row.update(oracle)
         if "oracle_alpha0" in oracle:
@@ -339,10 +341,11 @@ def metric_row(cfg: dict) -> dict[str, float]:
             row["oracle_dev"] = abs(row["rho11"] - oracle["oracle_rho11"])
         return row
 
+    protos = build_protocols(cfg)
     if kind == "compare":
         row: dict[str, float] = {}
         for label, p in protos.items():
-            row.update(_steady_metrics(p, prefix=f"{label}_"))
+            row.update(_steady_metrics(*steady_state(p), prefix=f"{label}_"))
         tau, lam, gamma = cfg["tau1"], cfg["lambda"], cfg["gamma"]
         if name == "clean-cooling-compare":
             s_mf, s_cf = oracles.clean_qubit_entropies(tau, lam)

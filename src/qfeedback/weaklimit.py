@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linops import hermitize
-from .loop import FeedbackProtocol, InLoopStage, _cycle_raw_batch
+from .loop import FeedbackProtocol, InLoopStage, build_superoperator
 from .quantum import check_density_matrix, identity_channel, ket
 
 
@@ -59,7 +59,7 @@ def first_order_defect(p: FeedbackProtocol, dtheta: float) -> float:
     )
     h = effective_hamiltonian(p.eta, p.stage)
     states = _hermitian_basis_states(p.d)
-    outs = _cycle_raw_batch(states, weak)
+    outs = build_superoperator(weak).apply(states)
     comm = h[None] @ states - states @ h[None]
     defect = outs - (states - 1j * dtheta * comm)
     return float(np.max(np.abs(defect)))

@@ -52,6 +52,13 @@ def test_bad_scenario_exits_2():
     assert "config error" in r.stderr
 
 
+def test_dimension_above_limit_exits_2():
+    # refused by the config check, before any protocol is built
+    r = run_cli("steady", "--scenario", "mf-noisy-cooling", "--d", "17")
+    assert r.returncode == 2
+    assert "16" in r.stderr
+
+
 def test_bad_config_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qfeedback import oracles
-from qfeedback.linops import max_abs
+from qfeedback.linops import max_abs, partial_trace
 from qfeedback.loop import (
+    MAX_DIM,
     CoherentStage,
     DegenerateSteadyStateError,
     FeedbackProtocol,
     PovmStage,
     ProjectiveStage,
+    _branch_liouvillians,
     all_to_target_stage,
     build_superoperator,
     conditional_branches,
@@ -21,10 +25,13 @@ from qfeedback.loop import (
 )
 from qfeedback.metrics import purity, von_neumann_entropy
 from qfeedback.quantum import (
+    amplitude_damping_channel,
     depolarizing_channel,
     dm,
+    identity_channel,
     ket,
     maximally_mixed,
+    partial_swap,
     random_density_matrix,
     random_kraus_channel,
     random_unitary,
@@ -293,3 +300,68 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         FeedbackProtocol(3, depolarizing_channel(2, 0.5), 0.5, 0.5,
                          maximally_mixed(3), CoherentStage(np.eye(3)))
+
+
+def reference_branch_maps(p, tau2):
+    """Slow joint-space reference for the per-outcome Liouville matrices: column
+    a + d*b of L_j is the image of |a><b| under the noise, the product with η,
+    U₁, 1⊗M_j, U₂ (transmissivity tau2) and the controller trace."""
+    d = p.d
+    eye = np.eye(d)
+    maps = []
+    for m in p.stage.controller_ops(d):
+        g = partial_swap(d, tau2) @ np.kron(eye, m) @ partial_swap(d, p.tau1)
+        cols = []
+        for b in range(d):
+            for a in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[a, b] = 1.0
+                noisy = sum(k @ unit @ k.conj().T for k in p.noise.kraus)
+                joint = g @ np.kron(noisy, p.eta) @ g.conj().T
+                cols.append(stack(partial_trace(joint, d, d, keep="A")))
+        maps.append(np.column_stack(cols))
+    return np.array(maps)
+
+
+def reference_cases(d, rng):
+    """Every stage type, η pure, mixed and rank-deficient, depolarising and
+    (for qubits) amplitude-damping noise."""
+    stages = {
+        "coherent": CoherentStage(random_unitary(d, rng)),
+        "projective": ProjectiveStage(feedback=tuple(random_unitary(d, rng) for _ in range(d)),
+                                      basis=random_unitary(d, rng)),
+        "povm": PovmStage(kraus=random_kraus_channel(d, 3, rng).kraus),
+    }
+    etas = {
+        "pure": dm(random_unitary(d, rng)[:, 0]),
+        "mixed": random_density_matrix(d, rng),
+        "rank-deficient": np.diag([0.6, 0.4] + [0.0] * (d - 2)).astype(complex) if d > 2 else dm(ket(2, 1)),
+    }
+    noises = {"depolarising": depolarizing_channel(d, rng.uniform(0.1, 1.0))}
+    if d == 2:
+        noises["amplitude-damping"] = amplitude_damping_channel(rng.uniform(0.0, 1.0))
+    for (sn, stage), (en, eta), (nn, noise) in itertools.product(stages.items(), etas.items(), noises.items()):
+        tau1, tau2 = rng.uniform(0, 1, 2)
+        yield f"{sn}/{en}/{nn}", FeedbackProtocol(d, noise, tau1, tau2, eta, stage)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_liouville_core_matches_joint_space_reference(d):
+    rng = np.random.default_rng(40 + d)
+    for name, p in reference_cases(d, rng):
+        ref = reference_branch_maps(p, p.tau2)
+        assert p.L.shape == ref.shape == (p.n_outcomes, d * d, d * d), name
+        assert max_abs(p.L - ref) <= 1e-12, name
+        # the pre-U₂ maps behind the majorisation check: no second coupling
+        assert max_abs(_branch_liouvillians(p, 1.0) - reference_branch_maps(p, 1.0)) <= 1e-12, name
+        left = stack(np.eye(d)) @ p.L.sum(axis=0)
+        assert max_abs(left - stack(np.eye(d))) <= 1e-12, name
+        probs = [prob for prob, _ in conditional_branches(random_density_matrix(d, rng), p)]
+        assert abs(sum(probs) - 1.0) <= 1e-12, name
+
+
+def test_dimension_above_limit_is_refused():
+    d = MAX_DIM + 1
+    with pytest.raises(ValueError, match=str(MAX_DIM)):
+        FeedbackProtocol(d, identity_channel(d), 0.5, 0.5, maximally_mixed(d),
+                         CoherentStage(np.eye(d)))
