@@ -17,6 +17,8 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -35,17 +37,25 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.15g}"
-    return "" if x is None else str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.15g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(path: str | None, header: list[str], blocks) -> None:
+    """Write the CSV to `path`, or to stdout. `blocks` holds a (row template, columns) pair per block
+    of rows sharing a layout, each formatted by one `%` (`%.15g` gives the bytes of `{:.15g}`)."""
+    text = ",".join(header) + "\n" + "".join(
+        (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+        for template, columns in blocks)
+    with open(path, "w", newline="\n") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
+
+
+def _row_blocks(rows: list[list]) -> list:
+    """One block per run of rows of one layout: None is an empty cell, a float `%.15g`, else `%s`."""
+    runs = itertools.groupby(rows, lambda row: ",".join(
+        "" if x is None else "%.15g" if isinstance(x, float) else "%s" for x in row) + "\n")
+    return [(template, list(zip(*([x for x in row if x is not None] for row in run)))) for template, run in runs]
 
 
 def _write_sidecar(path: str, command: str, cfg: dict) -> None:
@@ -114,7 +124,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
     if args.out:
         header = ["scenario"] + [f"alpha{i}" for i in range(len(spectrum))] + list(row.keys())
         values = [cfg["scenario"]] + [float(x) for x in spectrum] + [row[k] for k in row]
-        _write_csv(args.out, header, [values])
+        _write_csv(args.out, header, _row_blocks([values]))
         _write_sidecar(args.out, "steady", cfg)
     return EXIT_OK
 
@@ -130,23 +140,18 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
         seed=cfg["seed"], threads=_threads(cfg),
     )
     header = ["trajectory_id", "step", "outcome", "probability", "entropy_normalised", "rho11"]
-    rows: list[list] = []
-    for i in range(cfg["ntraj"]):
-        for t in range(cfg["steps"]):
-            rows.append([i, t + 1, int(ens.outcomes[i, t]), float(ens.probabilities[i, t]),
-                         float(ens.entropies[i, t]), float(ens.rho11[i, t])])
-    mean_entropy = ens.entropies.mean(axis=0)
-    mean_rho11 = ens.rho11.mean(axis=0)
-    for t in range(cfg["steps"]):
-        rows.append(["mean", t + 1, None, None, float(mean_entropy[t]), float(mean_rho11[t])])
+    n, steps = ens.outcomes.shape
+    step = np.arange(1, steps + 1)
+    _write_csv(args.out, header, [
+        ("%d,%d,%d,%.15g,%.15g,%.15g\n",
+         [np.repeat(np.arange(n), steps).tolist(), np.tile(step, n).tolist()]
+         + [a.ravel().tolist() for a in (ens.outcomes, ens.probabilities, ens.entropies, ens.rho11)]),
+        ("mean,%d,,,%.15g,%.15g\n",
+         [step.tolist(), ens.entropies.mean(axis=0).tolist(), ens.rho11.mean(axis=0).tolist()]),
+    ])
     if args.out:
-        _write_csv(args.out, header, rows)
         _write_sidecar(args.out, "trajectories", cfg)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(x) for x in row))
+        print(f"wrote {n * steps + steps} rows to {args.out}")
     return EXIT_OK
 
 
@@ -196,14 +201,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append([float(v) for v in values] + [row.get(k) for k in header[len(axes):]])
     assert header is not None
 
+    _write_csv(args.out, header, _row_blocks(rows))
     if args.out:
-        _write_csv(args.out, header, rows)
         _write_sidecar(args.out, "sweep", cfg | {"sweep": args.sweep})
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(x) for x in row))
     return EXIT_OK
 
 

@@ -9,6 +9,8 @@ sampler over Haar-random qubit states is provided as a cross-check only.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .quantum import check_density_matrix, pauli_x
@@ -43,11 +45,12 @@ def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(psi.conj() @ rho @ psi))
 
 
-def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Quadrature grid of pure qubit inputs cos(χ/2)|0> + e^{iφ} sin(χ/2)|1>.
 
     Returns (psi, gl_weights, n_phi): psi has shape (nodes*nodes, 2) with the
-    polar index varying slowest.
+    polar index varying slowest. Cached per `nodes`; the arrays are read-only.
     """
     u, w = np.polynomial.legendre.leggauss(nodes)  # u = cos(chi) on [-1, 1]
     phi = 2.0 * np.pi * np.arange(nodes) / nodes
@@ -55,7 +58,9 @@ def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sin_half = np.sqrt((1.0 - u) / 2.0)
     psi0 = np.repeat(cos_half, nodes).astype(complex)
     psi1 = np.repeat(sin_half, nodes) * np.exp(1j * np.tile(phi, nodes))
-    return np.stack([psi0, psi1], axis=1), w, nodes
+    psi = np.stack([psi0, psi1], axis=1)
+    psi.flags.writeable = w.flags.writeable = False
+    return psi, w, nodes
 
 
 def _bitflip_fidelities(p, psi: np.ndarray) -> np.ndarray:

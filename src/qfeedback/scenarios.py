@@ -110,13 +110,17 @@ def _validate_resolved(cfg: dict) -> None:
         if not 2 <= d <= MAX_DIM:
             raise ConfigError(f"d must be in [2, {MAX_DIM}] (joint dimension d² <= {MAX_DIM ** 2}), got {d}")
         cfg["d"] = d
-        for key in ("tau", "tau1", "tau2", "lambda", "gamma", "a", "b"):
+        for key in ("tau", "tau1", "tau2", "lambda", "gamma", "eta0", "a", "b"):
             x = float(cfg[key]) if key in cfg else 0.0
             if key in cfg and not 0.0 <= x <= 1.0:
                 raise ConfigError(f"{key} must be in [0,1], got {x}")
             cfg[key] = x
         for key in ("chi", "phi1"):
             cfg[key] = float(cfg[key])
+        eta = cfg.get("eta")
+        if isinstance(eta, dict) and "eta0" in eta and not (d == 2 and 0.0 <= float(eta["eta0"]) <= 1.0):
+            raise ConfigError(f"eta0 sets the qubit controller state diag(eta0, 1-eta0) and needs d=2 "
+                              f"and eta0 in [0,1], got d={d}, eta0={eta['eta0']}")
         for key in ("seed", "steps", "ntraj", "threads"):
             cfg[key] = int(cfg[key])
         if cfg["steps"] < 1 or cfg["ntraj"] < 1:

@@ -3,10 +3,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qfeedback import oracles
-from qfeedback.loop import steady_state
+from qfeedback.loop import sample_ensemble, steady_state
 from qfeedback.metrics import von_neumann_entropy
+from qfeedback.quantum import maximally_mixed
+from qfeedback.scenarios import build_protocols, resolve_config
 from qfeedback.validate import _mf_cooling_protocol
 
 
@@ -113,6 +116,64 @@ def test_trajectories_mean_entropy_converges(tmp_path):
         fields = line.split(",")
         if fields[0] == "mean" and int(fields[1]) >= step_cut:
             assert abs(float(fields[4]) - s_ss) < 0.02
+
+
+def _per_cell_trajectories_csv(overrides: dict) -> bytes:
+    """The trajectories CSV written cell by cell: `{:.15g}` per float, `str`
+    per int and empty for None, mean rows included."""
+    cfg = resolve_config({}, overrides)
+    steps, ntraj = cfg["steps"], cfg["ntraj"]
+    ens = sample_ensemble(maximally_mixed(cfg["d"]), build_protocols(cfg)["mf"], steps, ntraj,
+                          seed=cfg["seed"], threads=1)
+    rows = [["trajectory_id", "step", "outcome", "probability", "entropy_normalised", "rho11"]]
+    rows += [[i, t + 1, int(ens.outcomes[i, t]), float(ens.probabilities[i, t]),
+              float(ens.entropies[i, t]), float(ens.rho11[i, t])]
+             for i in range(ntraj) for t in range(steps)]
+    mean_entropy, mean_rho11 = ens.entropies.mean(axis=0), ens.rho11.mean(axis=0)
+    rows += [["mean", t + 1, None, None, float(mean_entropy[t]), float(mean_rho11[t])] for t in range(steps)]
+
+    def cell(x):
+        return "" if x is None else f"{x:.15g}" if isinstance(x, float) else str(x)
+    return "".join(",".join(cell(x) for x in row) + "\n" for row in rows).encode()
+
+
+@pytest.mark.parametrize("scenario,d", [("mf-noisy-cooling", 2), ("ad-mf", 2), ("mf-noisy-cooling", 3)])
+def test_trajectories_csv_matches_per_cell_format(tmp_path, scenario, d):
+    ov = {"scenario": scenario, "d": d, "tau": 0.3, "lambda": 0.7, "gamma": 0.4,
+          "steps": 12, "ntraj": 30, "seed": 5, "threads": 1}
+    out = tmp_path / "t.csv"
+    r = run_cli("trajectories", *(f"--{k}={v}" for k, v in ov.items()), "--out", str(out))
+    assert r.returncode == 0
+    assert r.stdout == f"wrote {30 * 12 + 12} rows to {out}\n"
+    assert out.read_bytes() == _per_cell_trajectories_csv(ov)
+
+
+def test_trajectories_stdout_equals_file(tmp_path):
+    args = [sys.executable, "-m", "qfeedback.cli", "trajectories", "--scenario", "ad-mf",
+            "--steps", "9", "--ntraj", "20", "--seed", "4"]
+    out = tmp_path / "t.csv"
+    assert subprocess.run([*args, "--out", str(out)], capture_output=True).returncode == 0
+    r = subprocess.run(args, capture_output=True)
+    assert r.returncode == 0
+    assert r.stdout == out.read_bytes()
+
+
+def test_eta0_beyond_qubit_exits_2():
+    # the eta0 family diag(eta0, 1-eta0) is a qubit controller state
+    r = run_cli("steady", "--scenario", "mf-noisy-cooling", "--d", "3", "--eta0", "0.8")
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "d=2" in r.stderr
+
+
+def test_eta0_out_of_range_exits_2(tmp_path):
+    r = run_cli("steady", "--scenario", "mf-eta-cooling", "--eta0", "1.5")
+    assert r.returncode == 2
+    assert "eta0 must be in [0,1]" in r.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "cf-eta", "eta": {"eta0": -0.2}}))
+    r = run_cli("steady", "--config", str(cfg))
+    assert r.returncode == 2
+    assert "eta0 in [0,1]" in r.stderr
 
 
 def test_trajectories_require_mf_scenario():

@@ -3,6 +3,7 @@ import pytest
 
 from qfeedback.loop import CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage
 from qfeedback.metrics import (
+    _bloch_states,
     fidelity_to_pure,
     haar_avg_bitflip_fidelity,
     haar_avg_bitflip_fidelity_mc,
@@ -100,6 +101,15 @@ def test_haar_avg_invariant_under_x_rotation_conjugation():
     a = haar_avg_bitflip_fidelity(p)
     b = haar_avg_bitflip_fidelity(p_rot)
     assert abs(a - b) <= 1e-9
+
+
+def test_haar_grid_is_cached_read_only():
+    psi, w, _ = _bloch_states(8)
+    assert _bloch_states(8)[0] is psi
+    with pytest.raises(ValueError):
+        psi[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_haar_avg_cf_independent_of_eta0():
