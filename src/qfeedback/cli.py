@@ -29,7 +29,7 @@ from . import __version__
 from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
 from .metrics import linear_entropy, purity, von_neumann_entropy
 from .quantum import maximally_mixed
-from .scenarios import ConfigError, build_protocols, metric_row, resolve_config, scenario_kind
+from .scenarios import SCENARIOS, ConfigError, _validate_resolved, build_protocols, metric_row, resolve_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,7 +98,7 @@ def _threads(cfg: dict) -> int:
 
 def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _resolved(args)
-    if scenario_kind(cfg["scenario"]) != "steady":
+    if SCENARIOS[cfg["scenario"]].kind != "steady":
         raise ConfigError(f"scenario {cfg['scenario']!r} is not a single-protocol steady scenario")
     (_, p), = build_protocols(cfg).items()
     rho, gap = steady_state(p)
@@ -132,7 +132,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
 def cmd_trajectories(args: argparse.Namespace) -> int:
     cfg = _resolved(args)
     protos = build_protocols(cfg)
-    if scenario_kind(cfg["scenario"]) != "steady" or "mf" not in protos:
+    if SCENARIOS[cfg["scenario"]].kind != "steady" or "mf" not in protos:
         raise ConfigError("trajectories need a measurement-feedback scenario (mf-*, ad-mf)")
     p = protos["mf"]
     ens = sample_ensemble(
@@ -169,13 +169,16 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     return name, values
 
 
-def _apply_axis_value(cfg: dict, name: str, value: float) -> dict:
+def _point_config(cfg: dict, axes: list, values: tuple) -> dict:
+    """The config at one sweep point, range-checked like any resolved config."""
     out = dict(cfg)
-    out[name] = float(value)
-    if name == "tau":
-        out["tau1"] = out["tau2"] = float(value)
-    if name == "eta0":
-        out["eta"] = {"eta0": float(value)}
+    for (name, _), value in zip(axes, values):
+        out[name] = float(value)
+        if name == "tau":
+            out["tau1"] = out["tau2"] = float(value)
+        if name == "eta0":
+            out["eta"] = {"eta0": float(value)}
+    _validate_resolved(out)
     return out
 
 
@@ -184,17 +187,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axes = [_parse_axis(s) for s in (args.sweep or [])]
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 --sweep axes, got {len(axes)}")
-    if len(axes) == 1:
-        points = [(v,) for v in axes[0][1]]
-    else:
-        points = [(a, b) for a in axes[0][1] for b in axes[1][1]]
+    points = list(itertools.product(*(values for _, values in axes)))
 
+    point_cfgs = [_point_config(cfg, axes, values) for values in points]  # all checked before any row is computed
     rows = []
     header: list[str] | None = None
-    for values in points:
-        point_cfg = cfg
-        for (name, _), v in zip(axes, values):
-            point_cfg = _apply_axis_value(point_cfg, name, v)
+    for values, point_cfg in zip(points, point_cfgs):
         row = metric_row(point_cfg)
         if header is None:
             header = [name for name, _ in axes] + list(row.keys())

@@ -123,6 +123,13 @@ def ad_occupations(tau: float, gamma: float) -> tuple[float, float, float, float
     return r_chi0, r_chipi2, r_mf, crossover, max(r_chi0, r_chipi2) > r_mf
 
 
+def bitflip_line_fidelities(tau: float) -> tuple[float, float]:
+    """Haar-averaged bit-flip fidelities (CF, MF) of the sigma_x coherent loop and
+    of the optimal projective measurement feedback (sigma_x on either outcome)."""
+    _check_range(tau=tau)
+    return 1.0 - 2.0 * tau / 3.0, 2.0 / 3.0 - tau / 3.0
+
+
 def bitflip_fidelity(tau: float, a: float, b: float) -> float:
     """Haar-averaged bit-flip fidelity for the optimal in-loop POVM
     {sigma_x P0, sigma_x P1} with P0 = diag(a, b).

@@ -1,14 +1,19 @@
 """Named protocol presets covering every closed-form case in the package,
 plus the config resolution used by the command-line front end.
 
-A scenario resolves a flat config dict (scenario defaults < config file <
-command-line overrides) into one or more `FeedbackProtocol`s and knows how to
-compute its metric row, including the matching oracle values where one exists.
+Each preset is one `Scenario` record in `SCENARIOS`: per protocol label, one
+(noise, controller reset state η, in-loop stage) triple, together with its
+defaults and its closed-form oracle columns. The CLI and `validate` build
+every preset protocol from this table. A scenario resolves a flat config dict
+(scenario defaults < config file < command-line overrides) into one or more
+`FeedbackProtocol`s and computes its metric row, with the oracle values
+wherever the oracle describes the protocol that was built.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,30 +59,6 @@ GLOBAL_DEFAULTS = {
     "threads": 0,  # 0 = hardware parallelism
 }
 
-# scenario name -> (kind, per-scenario defaults)
-SCENARIOS: dict[str, tuple[str, dict]] = {
-    "mf-noisy-cooling": ("steady", {"eta": {"preset": "noisy"}}),
-    "mf-clean-cooling": ("steady", {"eta": {"preset": "clean"}}),
-    "mf-eta-cooling": ("steady", {"eta": {"eta0": 0.5}}),
-    "cf-noisy": ("steady", {"eta": {"preset": "noisy"}}),
-    "cf-clean": ("steady", {"eta": {"preset": "clean"}}),
-    "cf-eta": ("steady", {"eta": {"eta0": 0.5}}),
-    "ad-cf": ("steady", {"eta": {"preset": "noisy"}, "chi": 0.0}),
-    "ad-mf": ("steady", {"eta": {"preset": "noisy"}}),
-    "clean-cooling-compare": ("compare", {"eta": {"preset": "clean"}}),
-    "eta-cooling-compare": ("compare", {"eta": {"eta0": 0.5}}),
-    "ad-compare": ("compare", {"eta": {"preset": "noisy"}}),
-    "bitflip-cf": ("bitflip", {"eta": {"preset": "noisy"}}),
-    "bitflip-mf": ("bitflip", {"eta": {"preset": "noisy"}}),
-    "bitflip-povm": ("bitflip", {"eta": {"preset": "noisy"}}),
-}
-
-
-def scenario_kind(name: str) -> str:
-    if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    return SCENARIOS[name][0]
-
 
 def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     """Merge defaults, a config document and overrides (highest precedence)."""
@@ -86,11 +67,10 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     name = overrides.get("scenario", config.get("scenario"))
     if not name:
         raise ConfigError("no scenario given (set 'scenario' in the config or pass --scenario)")
-    kind, defaults = SCENARIOS.get(name, (None, None))
-    if kind is None:
+    if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     cfg = dict(GLOBAL_DEFAULTS)
-    cfg.update(defaults)
+    cfg.update(SCENARIOS[name].defaults)
     cfg.update(config)
     cfg.update(overrides)
     cfg["scenario"] = name
@@ -181,96 +161,6 @@ def _eta0_value(cfg: dict) -> float:
     return float(cfg["eta0"])
 
 
-def _qubit_only(cfg: dict, name: str) -> None:
-    if cfg["d"] != 2:
-        raise ConfigError(f"scenario {name!r} is qubit-only (d=2)")
-
-
-def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
-    """Instantiate the protocol(s) for a resolved config, keyed by label."""
-    name, d = cfg["scenario"], cfg["d"]
-    t1, t2 = cfg["tau1"], cfg["tau2"]
-    lam, gamma = cfg["lambda"], cfg["gamma"]
-
-    def proto(noise, eta, stage):
-        p = FeedbackProtocol(d=d, noise=noise, tau1=t1, tau2=t2, eta=eta, stage=stage)
-        return p
-
-    if "stage" in cfg and name not in ("clean-cooling-compare", "eta-cooling-compare", "ad-compare"):
-        stage_override = _stage_from_config(cfg["stage"], d)
-    else:
-        stage_override = None
-
-    if name in ("mf-noisy-cooling", "mf-clean-cooling", "mf-eta-cooling"):
-        if name == "mf-eta-cooling":
-            _qubit_only(cfg, name)
-            target = 0 if _eta0_value(cfg) >= 0.5 else 1
-        else:
-            target = 0
-        stage = stage_override or all_to_target_stage(d, target)
-        return {"mf": proto(depolarizing_channel(d, lam), _eta(cfg), stage)}
-
-    if name in ("cf-noisy", "cf-clean", "cf-eta"):
-        if stage_override is not None:
-            stage = stage_override
-        elif d == 2 and (cfg["chi"] != 0.0 or cfg["phi1"] != 0.0):
-            stage = CoherentStage(qubit_unitary(cfg["chi"], cfg["phi1"]))
-        else:
-            stage = CoherentStage(np.eye(d, dtype=complex))
-        return {"cf": proto(depolarizing_channel(d, lam), _eta(cfg), stage)}
-
-    if name == "ad-cf":
-        _qubit_only(cfg, name)
-        stage = stage_override or CoherentStage(rotation(cfg["chi"]))
-        return {"cf": proto(amplitude_damping_channel(gamma), _eta(cfg), stage)}
-
-    if name == "ad-mf":
-        _qubit_only(cfg, name)
-        # measure, repump to |1>: do nothing on outcome 1, rotate by pi/2 on outcome 0
-        stage = stage_override or ProjectiveStage(
-            feedback=(rotation(np.pi / 2), np.eye(2, dtype=complex))
-        )
-        return {"mf": proto(amplitude_damping_channel(gamma), _eta(cfg), stage)}
-
-    if name == "clean-cooling-compare" or name == "eta-cooling-compare":
-        _qubit_only(cfg, name)
-        eta = _eta(cfg)
-        eta0 = 1.0 if name == "clean-cooling-compare" else _eta0_value(cfg)
-        target = 0 if eta0 >= 0.5 else 1
-        noise = depolarizing_channel(2, lam)
-        return {
-            "mf": proto(noise, eta, all_to_target_stage(2, target)),
-            "cf": proto(noise, eta, CoherentStage(np.eye(2, dtype=complex))),
-        }
-
-    if name == "ad-compare":
-        _qubit_only(cfg, name)
-        noise = amplitude_damping_channel(gamma)
-        eta = _eta(cfg)
-        return {
-            "cf_chi0": proto(noise, eta, CoherentStage(rotation(0.0))),
-            "cf_chipi2": proto(noise, eta, CoherentStage(rotation(np.pi / 2))),
-            "mf": proto(noise, eta, ProjectiveStage(feedback=(rotation(np.pi / 2), np.eye(2, dtype=complex)))),
-        }
-
-    if name == "bitflip-cf":
-        _qubit_only(cfg, name)
-        stage = stage_override or CoherentStage(pauli_x)
-        return {"cf": proto(identity_channel(2), _eta(cfg), stage)}
-
-    if name == "bitflip-mf":
-        _qubit_only(cfg, name)
-        stage = stage_override or ProjectiveStage(feedback=(pauli_x, pauli_x))
-        return {"mf": proto(identity_channel(2), _eta(cfg), stage)}
-
-    if name == "bitflip-povm":
-        _qubit_only(cfg, name)
-        stage = stage_override or PovmStage(kraus=bitflip_povm_kraus(cfg["a"], cfg["b"]))
-        return {"mf": proto(identity_channel(2), _eta(cfg), stage)}
-
-    raise ConfigError(f"unknown scenario {name!r}")
-
-
 def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """In-loop POVM for the bit-flip task: {σ_x P0, σ_x P1}, P0 = diag(a, b)."""
     p0 = np.diag([a, b]).astype(complex)
@@ -278,9 +168,156 @@ def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return pauli_x @ p0, pauli_x @ p1
 
 
+# --- the scenario table ----------------------------------------------------
+# Noise, stage and oracle entries take the resolved config.
+
+def _depolarizing(cfg: dict):
+    return depolarizing_channel(cfg["d"], cfg["lambda"])
+
+
+def _damping(cfg: dict):
+    return amplitude_damping_channel(cfg["gamma"])
+
+
+def _noiseless(cfg: dict):
+    return identity_channel(cfg["d"])
+
+
+def _cool(cfg: dict):
+    """Measure the controller and re-prepare |0> whatever the outcome."""
+    return all_to_target_stage(cfg["d"], 0)
+
+
+def _cool_to_dominant(cfg: dict):
+    """Re-prepare the dominant state of diag(eta0, 1-eta0): |0> for eta0 >= 1/2, else |1>."""
+    return all_to_target_stage(cfg["d"], 0 if _eta0_value(cfg) >= 0.5 else 1)
+
+
+def _do_nothing(cfg: dict):
+    return CoherentStage(np.eye(cfg["d"], dtype=complex))
+
+
+def _unrotated(cfg: dict) -> bool:
+    return cfg["chi"] == 0.0 and cfg["phi1"] == 0.0
+
+
+def _coherent_loop(cfg: dict):
+    """The qubit unitary of (chi, phi1) when either is set at d=2; the identity otherwise."""
+    if cfg["d"] == 2 and not _unrotated(cfg):
+        return CoherentStage(qubit_unitary(cfg["chi"], cfg["phi1"]))
+    return _do_nothing(cfg)
+
+
+def _repump(cfg: dict):
+    """Measure, then repump to |1>: rotate by pi/2 on outcome 0, do nothing on outcome 1."""
+    return ProjectiveStage(feedback=(rotation(np.pi / 2), np.eye(2, dtype=complex)))
+
+
+def _mf_noisy_oracle(cfg: dict) -> dict[str, float]:
+    spectrum = oracles.mf_noisy_steady(cfg["d"], cfg["tau1"], cfg["lambda"])
+    return {"oracle_alpha0": spectrum[0], "oracle_alpha1": spectrum[-1]}
+
+
+def _ad_cf_oracle(cfg: dict) -> dict[str, float]:
+    """rho11 of the chi=0 or the chi=pi/2 loop; no oracle at any other angle."""
+    chi0, chipi2, _, _, _ = oracles.ad_occupations(cfg["tau1"], cfg["gamma"])
+    return {"oracle_rho11": r for chi, r in ((0.0, chi0), (np.pi / 2, chipi2)) if abs(cfg["chi"] - chi) < 1e-12}
+
+
+def _entropy_difference(row: dict) -> dict[str, float]:
+    return {"s_mf_minus_s_cf": row["mf_entropy_linear"] - row["cf_entropy_linear"]}
+
+
+def _cf_verdict(row: dict) -> dict[str, float]:
+    return {"cf_beats_mf": float(max(row["cf_chi0_rho11"], row["cf_chipi2_rho11"]) > row["mf_rho11"])}
+
+
+class Scenario(NamedTuple):
+    """One preset: its protocols share the noise channel and the reset state η."""
+
+    kind: str                     # "steady" (one protocol), "compare" (several) or "bitflip" (Haar fidelity)
+    defaults: dict                # always holds the scenario's own η spec
+    noise: Callable
+    stages: dict[str, Callable]   # protocol label -> in-loop stage
+    qubit_only: bool
+    oracle: Callable              # the oracle columns, valid at tau1 == tau2
+    derived: Callable | None      # comparison columns read off the simulated row
+
+
+_NOISY, _CLEAN, _ETA = {"eta": {"preset": "noisy"}}, {"eta": {"preset": "clean"}}, {"eta": {"eta0": 0.5}}
+
+# name: Scenario(kind, defaults, noise, {label: stage}, qubit_only, oracle columns, derived columns)
+SCENARIOS: dict[str, Scenario] = {
+    "mf-noisy-cooling": Scenario("steady", _NOISY, _depolarizing, {"mf": _cool}, False, _mf_noisy_oracle, None),
+    "mf-clean-cooling": Scenario(
+        "steady", _CLEAN, _depolarizing, {"mf": _cool}, False,
+        lambda c: {"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], 1.0)[0]} if c["d"] == 2 else {},
+        None),
+    "mf-eta-cooling": Scenario(
+        "steady", _ETA, _depolarizing, {"mf": _cool_to_dominant}, True,
+        lambda c: {"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], _eta0_value(c))[0]}, None),
+    "cf-noisy": Scenario("steady", _NOISY, _depolarizing, {"cf": _coherent_loop}, False,
+                         lambda c: {"oracle_alpha0": 1.0 / c["d"]}, None),
+    "cf-clean": Scenario(
+        "steady", _CLEAN, _depolarizing, {"cf": _coherent_loop}, False,
+        lambda c: {"oracle_alpha0": oracles.cf_clean_steady(c["d"], c["tau1"], c["lambda"])[0]} if _unrotated(c) else {},
+        None),
+    "cf-eta": Scenario(
+        "steady", _ETA, _depolarizing, {"cf": _coherent_loop}, False,
+        lambda c: ({"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], _eta0_value(c))[1]}
+                   if _unrotated(c) else {}),
+        None),
+    "ad-cf": Scenario("steady", _NOISY, _damping, {"cf": lambda c: CoherentStage(rotation(c["chi"]))}, True,
+                      _ad_cf_oracle, None),
+    "ad-mf": Scenario("steady", _NOISY, _damping, {"mf": _repump}, True,
+                      lambda c: {"oracle_rho11": oracles.ad_occupations(c["tau1"], c["gamma"])[2]}, None),
+    "clean-cooling-compare": Scenario(
+        "compare", _CLEAN, _depolarizing, {"mf": _cool, "cf": _do_nothing}, True,
+        lambda c: dict(zip(("oracle_s_mf", "oracle_s_cf"), oracles.clean_qubit_entropies(c["tau1"], c["lambda"]))),
+        _entropy_difference),
+    "eta-cooling-compare": Scenario(
+        "compare", _ETA, _depolarizing, {"mf": _cool_to_dominant, "cf": _do_nothing}, True,
+        lambda c: dict(zip(("oracle_s_mf", "oracle_s_cf"), oracles.eta_entropies(c["tau1"], c["lambda"], _eta0_value(c)))),
+        _entropy_difference),
+    "ad-compare": Scenario(
+        "compare", _NOISY, _damping,
+        {"cf_chi0": lambda c: CoherentStage(rotation(0.0)), "cf_chipi2": lambda c: CoherentStage(rotation(np.pi / 2)),
+         "mf": _repump},
+        True,
+        # zip drops the fifth value of ad_occupations, its CF-beats-MF verdict: cf_beats_mf is read off the row
+        lambda c: dict(zip(("oracle_rho11_chi0", "oracle_rho11_chipi2", "oracle_rho11_mf", "oracle_cf_crossover_tau"),
+                           oracles.ad_occupations(c["tau1"], c["gamma"]))),
+        _cf_verdict),
+    "bitflip-cf": Scenario("bitflip", _NOISY, _noiseless, {"cf": lambda c: CoherentStage(pauli_x)}, True,
+                           lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[0]}, None),
+    "bitflip-mf": Scenario("bitflip", _NOISY, _noiseless, {"mf": lambda c: ProjectiveStage(feedback=(pauli_x, pauli_x))},
+                           True, lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[1]}, None),
+    "bitflip-povm": Scenario(
+        "bitflip", _NOISY, _noiseless, {"mf": lambda c: PovmStage(kraus=bitflip_povm_kraus(c["a"], c["b"]))}, True,
+        lambda c: {"oracle_fidelity": oracles.bitflip_fidelity(c["tau1"], c["a"], c["b"])}, None),
+}
+
+
+def _overrides_stage(cfg: dict, scenario: Scenario) -> bool:
+    """A config `stage` replaces the in-loop stage of a single-protocol scenario."""
+    return "stage" in cfg and len(scenario.stages) == 1
+
+
+def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
+    """Instantiate the protocol(s) for a resolved config, keyed by label."""
+    scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
+    override = _stage_from_config(cfg["stage"], d) if _overrides_stage(cfg, scenario) else None
+    if scenario.qubit_only and d != 2:
+        raise ConfigError(f"scenario {cfg['scenario']!r} is qubit-only (d=2)")
+    noise, eta = scenario.noise(cfg), _eta(cfg)
+    return {label: FeedbackProtocol(d=d, noise=noise, tau1=cfg["tau1"], tau2=cfg["tau2"], eta=eta,
+                                    stage=override or stage(cfg))
+            for label, stage in scenario.stages.items()}
+
+
 def _steady_metrics(rho: np.ndarray, gap: float, prefix: str = "") -> dict[str, float]:
     w = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    row = {
+    return {
         f"{prefix}alpha0": float(w[0]),
         f"{prefix}entropy_vn_norm": von_neumann_entropy(rho, normalised=True),
         f"{prefix}entropy_linear": linear_entropy(rho),
@@ -288,97 +325,43 @@ def _steady_metrics(rho: np.ndarray, gap: float, prefix: str = "") -> dict[str, 
         f"{prefix}rho11": float(rho[1, 1].real),
         f"{prefix}gap": gap,
     }
-    return row
 
 
-def _oracle_for_steady(cfg: dict) -> dict[str, float]:
-    """Closed-form reference values for the single-protocol steady scenarios."""
-    name, d = cfg["scenario"], cfg["d"]
-    tau, lam, gamma = cfg["tau1"], cfg["lambda"], cfg["gamma"]
-    if cfg["tau1"] != cfg["tau2"]:
-        return {}
-    if name == "mf-noisy-cooling":
-        spec = oracles.mf_noisy_steady(d, tau, lam)
-        return {"oracle_alpha0": spec[0], "oracle_alpha1": spec[-1]}
-    if name == "cf-noisy":
-        return {"oracle_alpha0": 1.0 / d}
-    if name == "cf-clean" and cfg["chi"] == 0.0 and cfg["phi1"] == 0.0:
-        spec = oracles.cf_clean_steady(d, tau, lam)
-        return {"oracle_alpha0": spec[0]}
-    if name in ("mf-clean-cooling", "mf-eta-cooling") and d == 2:
-        eta0 = 1.0 if name == "mf-clean-cooling" else _eta0_value(cfg)
-        s_mf, _ = oracles.eta_entropies(tau, lam, eta0)
-        return {"oracle_entropy_linear": s_mf}
-    if name == "cf-eta" and cfg["chi"] == 0.0 and cfg["phi1"] == 0.0:
-        _, s_cf = oracles.eta_entropies(tau, lam, _eta0_value(cfg))
-        return {"oracle_entropy_linear": s_cf}
-    if name == "ad-cf":
-        chi0, chipi2, _, _, _ = oracles.ad_occupations(tau, gamma)
-        if abs(cfg["chi"]) < 1e-12:
-            return {"oracle_rho11": chi0}
-        if abs(cfg["chi"] - np.pi / 2) < 1e-12:
-            return {"oracle_rho11": chipi2}
-        return {}
-    if name == "ad-mf":
-        return {"oracle_rho11": oracles.ad_occupations(tau, gamma)[2]}
-    return {}
+def _oracle_applies(cfg: dict, scenario: Scenario) -> bool:
+    """The oracles hold at tau1 == tau2, for the scenario's own stages and η spec (an eta0
+    scenario takes any eta0)."""
+    spec, own = cfg.get("eta"), scenario.defaults["eta"]
+    own_eta = spec == own or ("eta0" in own and isinstance(spec, dict) and spec.keys() == {"eta0"})
+    return cfg["tau1"] == cfg["tau2"] and own_eta and not _overrides_stage(cfg, scenario)
+
+
+# oracle column -> the simulated column that `oracle_dev` compares it with
+_DEV_COLUMNS = {"oracle_alpha0": "alpha0", "oracle_entropy_linear": "entropy_linear", "oracle_rho11": "rho11",
+                "oracle_fidelity": "haar_fidelity"}
 
 
 def metric_row(cfg: dict, solved: tuple[np.ndarray, float] | None = None) -> dict[str, float]:
     """Compute the full metric row for a resolved config (sweep/steady output).
     `solved`: the steady scenario's (state, gap), when the caller already has it."""
-    name = cfg["scenario"]
-    kind = scenario_kind(name)
-
-    if kind == "steady":
+    scenario = SCENARIOS[cfg["scenario"]]
+    if scenario.kind == "steady":
         if solved is None:
             (_, p), = build_protocols(cfg).items()
             solved = steady_state(p)
         row = _steady_metrics(*solved)
-        oracle = _oracle_for_steady(cfg)
-        row.update(oracle)
-        if "oracle_alpha0" in oracle:
-            row["oracle_dev"] = abs(row["alpha0"] - oracle["oracle_alpha0"])
-        elif "oracle_entropy_linear" in oracle:
-            row["oracle_dev"] = abs(row["entropy_linear"] - oracle["oracle_entropy_linear"])
-        elif "oracle_rho11" in oracle:
-            row["oracle_dev"] = abs(row["rho11"] - oracle["oracle_rho11"])
-        return row
-
-    protos = build_protocols(cfg)
-    if kind == "compare":
-        row: dict[str, float] = {}
-        for label, p in protos.items():
+    elif scenario.kind == "compare":
+        row = {}
+        for label, p in build_protocols(cfg).items():
             row.update(_steady_metrics(*steady_state(p), prefix=f"{label}_"))
-        tau, lam, gamma = cfg["tau1"], cfg["lambda"], cfg["gamma"]
-        if name == "clean-cooling-compare":
-            s_mf, s_cf = oracles.clean_qubit_entropies(tau, lam)
-            row.update({"oracle_s_mf": s_mf, "oracle_s_cf": s_cf,
-                        "s_mf_minus_s_cf": row["mf_entropy_linear"] - row["cf_entropy_linear"]})
-        elif name == "eta-cooling-compare":
-            s_mf, s_cf = oracles.eta_entropies(tau, lam, _eta0_value(cfg))
-            row.update({"oracle_s_mf": s_mf, "oracle_s_cf": s_cf,
-                        "s_mf_minus_s_cf": row["mf_entropy_linear"] - row["cf_entropy_linear"]})
-        elif name == "ad-compare":
-            chi0, chipi2, mf, crossover, cf_beats = oracles.ad_occupations(tau, gamma)
-            row.update({
-                "oracle_rho11_chi0": chi0, "oracle_rho11_chipi2": chipi2,
-                "oracle_rho11_mf": mf, "oracle_cf_crossover_tau": crossover,
-                "cf_beats_mf": float(max(row["cf_chi0_rho11"], row["cf_chipi2_rho11"]) > row["mf_rho11"]),
-            })
-        return row
-
-    # bitflip: the figure of merit is the Haar-averaged fidelity, not a steady state
-    (_, p), = protos.items()
-    avg = haar_avg_bitflip_fidelity(p)
-    row = {"haar_fidelity": avg}
-    tau = cfg["tau1"]
-    if cfg["tau1"] == cfg["tau2"]:
-        if name == "bitflip-cf":
-            row["oracle_fidelity"] = 1.0 - 2.0 * tau / 3.0
-        elif name == "bitflip-mf":
-            row["oracle_fidelity"] = 2.0 / 3.0 - tau / 3.0
-        else:
-            row["oracle_fidelity"] = oracles.bitflip_fidelity(tau, cfg["a"], cfg["b"])
-        row["oracle_dev"] = abs(avg - row["oracle_fidelity"])
+    else:  # bitflip: the figure of merit is the Haar-averaged fidelity, not a steady state
+        (_, p), = build_protocols(cfg).items()
+        row = {"haar_fidelity": haar_avg_bitflip_fidelity(p)}
+    if _oracle_applies(cfg, scenario):
+        oracle = scenario.oracle(cfg)
+        row.update(oracle)
+        first = next(iter(oracle), None)
+        if first in _DEV_COLUMNS:
+            row["oracle_dev"] = abs(row[_DEV_COLUMNS[first]] - oracle[first])
+    if scenario.derived is not None:
+        row.update(scenario.derived(row))
     return row

@@ -16,35 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .loop import (
-    CoherentStage,
-    FeedbackProtocol,
-    ProjectiveStage,
-    all_to_target_stage,
-    conditional_branches,
-    cycle_unconditional,
-    iterate_to_fixed_point,
-    sample_ensemble,
-    steady_state,
-)
+from .loop import (CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage, all_to_target_stage, conditional_branches,
+                   cycle_unconditional, iterate_to_fixed_point, sample_ensemble, steady_state)
 from .metrics import haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
-from .quantum import (
-    amplitude_damping_channel,
-    controller_state,
-    depolarizing_channel,
-    dm,
-    identity_channel,
-    ket,
-    maximally_mixed,
-    pauli_x,
-    qubit_unitary,
-    random_density_matrix,
-    random_kraus_channel,
-    random_unitary,
-    rotation,
-    unitary_mapping,
-)
-from .scenarios import bitflip_povm_kraus
+from .quantum import (depolarizing_channel, dm, identity_channel, ket, maximally_mixed, random_density_matrix,
+                      random_kraus_channel, random_unitary, unitary_mapping)
+from .scenarios import build_protocols, resolve_config
 from .weaklimit import effective_hamiltonian, first_order_defect, lie_closure_dim
 
 ORACLE_TOL = 1e-9
@@ -61,19 +38,9 @@ def _result(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _mf_cooling_protocol(d: int, tau: float, lam: float) -> FeedbackProtocol:
-    return FeedbackProtocol(
-        d=d, noise=depolarizing_channel(d, lam), tau1=tau, tau2=tau,
-        eta=maximally_mixed(d), stage=all_to_target_stage(d, 0),
-    )
-
-
-def _cf_protocol(d: int, tau: float, lam: float, eta, unitary=None) -> FeedbackProtocol:
-    v = np.eye(d, dtype=complex) if unitary is None else unitary
-    return FeedbackProtocol(
-        d=d, noise=depolarizing_channel(d, lam), tau1=tau, tau2=tau,
-        eta=eta, stage=CoherentStage(v),
-    )
+def _scenario(config: dict) -> dict[str, FeedbackProtocol]:
+    """The protocols of a scenario preset, built as the command line builds them."""
+    return build_protocols(resolve_config(config))
 
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
@@ -88,7 +55,7 @@ def check_oracle_mf_noisy(points: int = 100, seed: int = 100) -> CheckResult:
     for _ in range(points):
         d = int(rng.integers(2, 5))
         tau, lam = rng.uniform(0.03, 0.97, 2)
-        rho, _ = steady_state(_mf_cooling_protocol(d, tau, lam))
+        rho, _ = steady_state(_scenario({"scenario": "mf-noisy-cooling", "d": d, "tau": tau, "lambda": lam})["mf"])
         dev = np.max(np.abs(_spectrum(rho) - oracles.mf_noisy_steady(d, tau, lam)))
         worst = max(worst, float(dev))
     return _result("oracle-grid[mf_noisy_steady]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
@@ -100,7 +67,7 @@ def check_oracle_cf_clean(points: int = 100, seed: int = 101) -> CheckResult:
     for _ in range(points):
         d = int(rng.integers(2, 5))
         tau, lam = rng.uniform(0.03, 0.97, 2)
-        rho, _ = steady_state(_cf_protocol(d, tau, lam, dm(ket(d, 0))))
+        rho, _ = steady_state(_scenario({"scenario": "cf-clean", "d": d, "tau": tau, "lambda": lam})["cf"])
         dev = np.max(np.abs(_spectrum(rho) - oracles.cf_clean_steady(d, tau, lam)))
         worst = max(worst, float(dev))
     return _result("oracle-grid[cf_clean_steady]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
@@ -112,17 +79,15 @@ def check_oracle_clean_entropies(points: int = 100, seed: int = 102) -> CheckRes
     for _ in range(points):
         tau, lam = rng.uniform(0.03, 0.97, 2)
         s_mf_o, s_cf_o = oracles.clean_qubit_entropies(tau, lam)
-        s_mf = linear_entropy(steady_state(_mf_clean_protocol(tau, lam))[0])
-        s_cf = linear_entropy(steady_state(_cf_protocol(2, tau, lam, dm(ket(2, 0))))[0])
+        s_mf, s_cf = _entropies({"scenario": "clean-cooling-compare", "tau": tau, "lambda": lam})
         worst = max(worst, abs(s_mf - s_mf_o), abs(s_cf - s_cf_o))
     return _result("oracle-grid[clean_qubit_entropies]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
-def _mf_clean_protocol(tau: float, lam: float) -> FeedbackProtocol:
-    return FeedbackProtocol(
-        d=2, noise=depolarizing_channel(2, lam), tau1=tau, tau2=tau,
-        eta=dm(ket(2, 0)), stage=all_to_target_stage(2, 0),
-    )
+def _entropies(config: dict) -> tuple[float, float]:
+    """Steady linear entropies (S_MF, S_CF) of a comparison scenario."""
+    protos = _scenario(config)
+    return linear_entropy(steady_state(protos["mf"])[0]), linear_entropy(steady_state(protos["cf"])[0])
 
 
 def check_oracle_eta_entropies(points: int = 100, seed: int = 103) -> CheckResult:
@@ -131,13 +96,8 @@ def check_oracle_eta_entropies(points: int = 100, seed: int = 103) -> CheckResul
     for _ in range(points):
         tau, lam = rng.uniform(0.03, 0.97, 2)
         eta0 = rng.uniform(0.0, 1.0)
-        eta = controller_state(2, eta0)
         s_mf_o, s_cf_o = oracles.eta_entropies(tau, lam, eta0)
-        target = 0 if eta0 >= 0.5 else 1
-        pmf = FeedbackProtocol(d=2, noise=depolarizing_channel(2, lam), tau1=tau, tau2=tau,
-                               eta=eta, stage=all_to_target_stage(2, target))
-        s_mf = linear_entropy(steady_state(pmf)[0])
-        s_cf = linear_entropy(steady_state(_cf_protocol(2, tau, lam, eta))[0])
+        s_mf, s_cf = _entropies({"scenario": "eta-cooling-compare", "tau": tau, "lambda": lam, "eta": {"eta0": eta0}})
         worst = max(worst, abs(s_mf - s_mf_o), abs(s_cf - s_cf_o))
     return _result("oracle-grid[eta_entropies]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
@@ -160,7 +120,7 @@ def check_oracle_cf_general(points: int = 100, seed: int = 104) -> CheckResult:
     for _ in range(points):
         tau, lam = rng.uniform(0.03, 0.97, 2)
         chi, phi1 = rng.uniform(0.0, np.pi, 2)
-        p = _cf_protocol(2, tau, lam, dm(ket(2, 0)), qubit_unitary(chi, phi1))
+        p = _scenario({"scenario": "cf-clean", "tau": tau, "lambda": lam, "chi": chi, "phi1": phi1})["cf"]
         e1 = diagonal_fixed_point_population(p)
         worst = max(worst, abs(e1 - oracles.cf_clean_general_qubit(tau, lam, chi, phi1)))
     # on the slices where the steady state actually is diagonal, the formula
@@ -169,20 +129,16 @@ def check_oracle_cf_general(points: int = 100, seed: int = 104) -> CheckResult:
         tau, lam = rng.uniform(0.05, 0.95, 2)
         phi1 = rng.uniform(0.0, np.pi)
         for chi in (0.0, np.pi / 2, np.pi):
-            p = _cf_protocol(2, tau, lam, dm(ket(2, 0)), qubit_unitary(chi, phi1))
+            p = _scenario({"scenario": "cf-clean", "tau": tau, "lambda": lam, "chi": chi, "phi1": phi1})["cf"]
             rho, _ = steady_state(p)
             worst = max(worst, abs(rho[0, 0].real - oracles.cf_clean_general_qubit(tau, lam, chi, phi1)))
     return _result("oracle-grid[cf_clean_general_qubit]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
-def _ad_protocols(tau: float, gamma: float):
-    noise = amplitude_damping_channel(gamma)
-    eta = maximally_mixed(2)
-    p_chi0 = FeedbackProtocol(2, noise, tau, tau, eta, CoherentStage(rotation(0.0)))
-    p_chipi2 = FeedbackProtocol(2, noise, tau, tau, eta, CoherentStage(rotation(np.pi / 2)))
-    p_mf = FeedbackProtocol(2, noise, tau, tau, eta,
-                            ProjectiveStage(feedback=(rotation(np.pi / 2), np.eye(2, dtype=complex))))
-    return p_chi0, p_chipi2, p_mf
+def _ad_occupations(tau: float, gamma: float) -> list[float]:
+    """Steady rho11 of the chi=0 and chi=pi/2 coherent loops and of measure-and-repump."""
+    protos = _scenario({"scenario": "ad-compare", "tau": tau, "gamma": gamma})
+    return [steady_state(protos[label])[0][1, 1].real for label in ("cf_chi0", "cf_chipi2", "mf")]
 
 
 def check_oracle_ad(points: int = 100, seed: int = 105) -> CheckResult:
@@ -192,7 +148,7 @@ def check_oracle_ad(points: int = 100, seed: int = 105) -> CheckResult:
     for _ in range(points):
         tau, gamma = rng.uniform(0.03, 0.97, 2)
         orc = oracles.ad_occupations(tau, gamma)
-        sims = [steady_state(q)[0][1, 1].real for q in _ad_protocols(tau, gamma)]
+        sims = _ad_occupations(tau, gamma)
         worst = max(worst, float(np.max(np.abs(np.array(sims) - np.array(orc[:3])))))
         if abs(max(sims[0], sims[1]) - sims[2]) > 1e-7:
             bool_ok &= (max(sims[0], sims[1]) > sims[2]) == orc[4]
@@ -211,17 +167,9 @@ def check_oracle_bitflip(points: int = 100, seed: int = 106) -> CheckResult:
             a, b = 1.0, 0.0                      # projective measurement
         else:
             a, b = rng.uniform(0.0, 1.0, 2)
-        p = FeedbackProtocol(2, identity_channel(2), tau, tau, maximally_mixed(2),
-                             stage=_povm_stage(a, b))
-        avg = haar_avg_bitflip_fidelity(p)
+        avg = haar_avg_bitflip_fidelity(_scenario({"scenario": "bitflip-povm", "tau": tau, "a": a, "b": b})["mf"])
         worst = max(worst, abs(avg - oracles.bitflip_fidelity(tau, a, b)))
     return _result("oracle-grid[bitflip_fidelity]", worst < ORACLE_TOL, f"worst |quad-oracle| = {worst:.2e}")
-
-
-def _povm_stage(a: float, b: float):
-    from .loop import PovmStage
-
-    return PovmStage(kraus=bitflip_povm_kraus(a, b))
 
 
 def check_oracle_conditional(points: int = 100, seed: int = 107) -> CheckResult:
@@ -234,7 +182,7 @@ def check_oracle_conditional(points: int = 100, seed: int = 107) -> CheckResult:
         alpha_in = rng.uniform(1.0 / d + 1e-3, 0.999)
         rest = (1.0 - alpha_in) / (d - 1)
         rho = np.diag([alpha_in] + [rest] * (d - 1)).astype(complex)
-        p = _mf_cooling_protocol(d, tau, lam)
+        p = _scenario({"scenario": "mf-noisy-cooling", "d": d, "tau": tau, "lambda": lam})["mf"]
         p0_o, a00_o, a01_o = oracles.conditional_cooling(d, tau, lam, alpha_in)
         branches = conditional_branches(rho, p)
         worst = max(
@@ -279,7 +227,7 @@ def check_oracle_grids(points: int = 100) -> list[CheckResult]:
 
 def check_steady_spot() -> CheckResult:
     expected = np.array([0.7857142857, 0.2142857143])
-    p = _mf_cooling_protocol(2, 0.5, 0.5)
+    p = _scenario({"scenario": "mf-noisy-cooling", "tau": 0.5, "lambda": 0.5})["mf"]
     rho_eig, _ = steady_state(p)
     rho_fix = iterate_to_fixed_point(maximally_mixed(2), p, 1000)
     dev_eig = float(np.max(np.abs(_spectrum(rho_eig) - expected)))
@@ -313,8 +261,7 @@ def check_cf_no_cooling(protocols: int = 500, seed: int = 300) -> CheckResult:
 # --- criterion 4: clean-controller crossover at tau = 1/3 ------------------
 
 def _entropy_gap_clean(tau: float, lam: float) -> float:
-    s_mf = linear_entropy(steady_state(_mf_clean_protocol(tau, lam))[0])
-    s_cf = linear_entropy(steady_state(_cf_protocol(2, tau, lam, dm(ket(2, 0))))[0])
+    s_mf, s_cf = _entropies({"scenario": "clean-cooling-compare", "tau": tau, "lambda": lam})
     return s_mf - s_cf
 
 
@@ -340,7 +287,7 @@ def check_crossover(lams=(0.1, 0.5, 0.9)) -> CheckResult:
 # --- criterion 5: purity dichotomy at tau = 1/2 ----------------------------
 
 def check_purity_dichotomy(grid: int = 30, lams=(0.05, 0.5, 0.95)) -> CheckResult:
-    p_cf = _cf_protocol(2, 0.5, min(lams), dm(ket(2, 0)))
+    p_cf = _scenario({"scenario": "cf-clean", "tau": 0.5, "lambda": min(lams)})["cf"]
     cf_purity = purity(steady_state(p_cf)[0])
     max_mf = 0.0
     thetas = np.linspace(0.0, np.pi, grid)
@@ -370,7 +317,7 @@ def check_ad_grid(grid: int = 20) -> CheckResult:
         tstar = oracles.ad_occupations(0.5, gamma)[3]
         for tau in taus:
             orc = oracles.ad_occupations(tau, gamma)
-            sims = [steady_state(q)[0][1, 1].real for q in _ad_protocols(tau, gamma)]
+            sims = _ad_occupations(tau, gamma)
             worst = max(worst, float(np.max(np.abs(np.array(sims) - np.array(orc[:3])))))
             signs.append(max(sims[0], sims[1]) > sims[2])
         # boundary of the CF>MF region matches the threshold within one cell
@@ -391,17 +338,16 @@ def check_ad_grid(grid: int = 20) -> CheckResult:
 def check_bitflip_surface(grid: int = 21) -> CheckResult:
     worst = 0.0
     for tau in np.linspace(0.0, 1.0, 9):
-        p_cf = FeedbackProtocol(2, identity_channel(2), tau, tau, maximally_mixed(2), CoherentStage(pauli_x))
-        worst = max(worst, abs(haar_avg_bitflip_fidelity(p_cf) - (1.0 - 2.0 * tau / 3.0)))
-        p_mf = FeedbackProtocol(2, identity_channel(2), tau, tau, maximally_mixed(2),
-                                ProjectiveStage(feedback=(pauli_x, pauli_x)))
-        worst = max(worst, abs(haar_avg_bitflip_fidelity(p_mf) - (2.0 / 3.0 - tau / 3.0)))
+        p_cf = _scenario({"scenario": "bitflip-cf", "tau": tau})["cf"]
+        p_mf = _scenario({"scenario": "bitflip-mf", "tau": tau})["mf"]
+        cf_line, mf_line = oracles.bitflip_line_fidelities(tau)
+        worst = max(worst, abs(haar_avg_bitflip_fidelity(p_cf) - cf_line), abs(haar_avg_bitflip_fidelity(p_mf) - mf_line))
     tau = 0.5
     vals = np.zeros((grid, grid))
     axis = np.linspace(0.0, 1.0, grid)
     for i, a in enumerate(axis):
         for j, b in enumerate(axis):
-            p = FeedbackProtocol(2, identity_channel(2), tau, tau, maximally_mixed(2), _povm_stage(a, b))
+            p = _scenario({"scenario": "bitflip-povm", "tau": tau, "a": a, "b": b})["mf"]
             vals[i, j] = haar_avg_bitflip_fidelity(p)
             worst = max(worst, abs(vals[i, j] - oracles.bitflip_fidelity(tau, a, b)))
     off = ~np.eye(grid, dtype=bool)
@@ -416,7 +362,7 @@ def check_bitflip_surface(grid: int = 21) -> CheckResult:
 def check_conditional_statistics(n_traj: int = 10_000, steps: int = 200,
                                  seed: int = 800, threads: int = 4) -> CheckResult:
     d, tau, lam = 2, 0.5, 0.5
-    p = _mf_cooling_protocol(d, tau, lam)
+    p = _scenario({"scenario": "mf-noisy-cooling", "d": d, "tau": tau, "lambda": lam})["mf"]
     rho_ss, _ = steady_state(p)
 
     # one-step outcome statistics from a fixed diagonal input
@@ -465,17 +411,11 @@ def check_weak_limit(seed: int = 900) -> CheckResult:
                 for _ in range(3)]
         dims_ok &= lie_closure_dim(g_cf) == 1
         eta = dm(ket(d, 0))
-        g_mf = [effective_hamiltonian(eta, _random_povm_stage(d, rng)) for _ in range(2)]
+        g_mf = [effective_hamiltonian(eta, PovmStage(kraus=random_kraus_channel(d, 2, rng).kraus)) for _ in range(2)]
         dims_ok &= lie_closure_dim(g_mf) == d * d
     ok = quad_ok and dims_ok
     return _result("weak-limit", ok,
                    f"defect halving ratios {ratios[0]:.3f}, {ratios[1]:.3f} (want 4±0.4), closure dims ok: {dims_ok}")
-
-
-def _random_povm_stage(d: int, rng):
-    from .loop import PovmStage
-
-    return PovmStage(kraus=random_kraus_channel(d, 2, rng).kraus)
 
 
 # --- criterion 10: cooling-rate scaling -------------------------------------
@@ -485,7 +425,7 @@ def check_cooling_rate(taus=(0.5, 0.75, 0.9), threshold: float = 0.01) -> CheckR
     # steady entropy grow like 1/(1-tau)
     counts = []
     for tau in taus:
-        p = _mf_cooling_protocol(2, tau, 1.0)
+        p = _scenario({"scenario": "mf-noisy-cooling", "tau": tau, "lambda": 1.0})["mf"]
         target = von_neumann_entropy(steady_state(p)[0], normalised=True)
         rho = maximally_mixed(2)
         n = 0
@@ -504,7 +444,7 @@ def check_cooling_rate(taus=(0.5, 0.75, 0.9), threshold: float = 0.01) -> CheckR
 # --- criterion 11: determinism ----------------------------------------------
 
 def check_determinism(seed: int = 1100) -> CheckResult:
-    p = _mf_cooling_protocol(2, 0.5, 0.5)
+    p = _scenario({"scenario": "mf-noisy-cooling", "tau": 0.5, "lambda": 0.5})["mf"]
     a = sample_ensemble(maximally_mixed(2), p, 40, 50, seed=seed, threads=1)
     b = sample_ensemble(maximally_mixed(2), p, 40, 50, seed=seed, threads=3)
     same = (

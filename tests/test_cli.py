@@ -5,12 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from qfeedback import oracles
+from qfeedback import cli, oracles
 from qfeedback.loop import sample_ensemble, steady_state
 from qfeedback.metrics import von_neumann_entropy
 from qfeedback.quantum import maximally_mixed
-from qfeedback.scenarios import build_protocols, resolve_config
-from qfeedback.validate import _mf_cooling_protocol
+from qfeedback.scenarios import SCENARIOS, build_protocols, metric_row, resolve_config
 
 
 def run_cli(*args, cwd=None):
@@ -110,7 +109,8 @@ def test_trajectories_mean_entropy_converges(tmp_path):
                 "--lambda", str(lam), "--steps", "30", "--ntraj", "400", "--seed", "11",
                 "--out", str(out))
     assert r.returncode == 0
-    s_ss = von_neumann_entropy(steady_state(_mf_cooling_protocol(2, tau, lam))[0], normalised=True)
+    p = build_protocols(resolve_config({"scenario": "mf-noisy-cooling", "tau": tau, "lambda": lam}))["mf"]
+    s_ss = von_neumann_entropy(steady_state(p)[0], normalised=True)
     step_cut = int(np.ceil(5.0 / (1.0 - tau)))
     for line in out.read_text().splitlines()[1:]:
         fields = line.split(",")
@@ -236,6 +236,93 @@ def test_sweep_rejects_three_axes():
 def test_sweep_rejects_unknown_axis():
     r = run_cli("sweep", "--scenario", "mf-noisy-cooling", "--sweep", "foo=0:1:3")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["--scenario", "mf-eta-cooling", "--sweep", "eta0=0:1.5:3"], "eta0 must be in [0,1], got 1.5"),
+    (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0:1.5:3"], "tau must be in [0,1], got 1.5"),
+    (["--scenario", "mf-noisy-cooling", "--d", "3", "--sweep", "eta0=0:1:3"], "needs d=2"),
+    (["--scenario", "bitflip-povm", "--sweep", "a=0:2:3"], "a must be in [0,1], got 2.0"),
+    (["--scenario", "bitflip-povm", "--sweep", "a=0:1:2", "--sweep", "b=0.5:1.5:2"], "b must be in [0,1], got 1.5"),
+], ids=["eta0", "tau", "eta0-qudit", "a", "b"])
+def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, limit):
+    # every point is checked before the first row is computed
+    monkeypatch.setattr(cli, "metric_row", lambda cfg: pytest.fail("a row was computed"))
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 2
+    assert limit in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _sweep_rows(*argv) -> list[dict]:
+    r = run_cli("sweep", *argv)
+    assert r.returncode == 0, r.stderr
+    header, *lines = r.stdout.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_unequal_taus_drop_oracle_columns_of_every_kind():
+    # the oracles hold at tau1 == tau2; the simulated comparison columns stay
+    for scenario, kept in [("clean-cooling-compare", "s_mf_minus_s_cf"), ("ad-compare", "cf_beats_mf"),
+                           ("mf-noisy-cooling", "alpha0"), ("bitflip-povm", "haar_fidelity")]:
+        equal, = _sweep_rows("--scenario", scenario, "--tau", "0.4", "--sweep", "lambda=0.5:0.5:1")
+        unequal, = _sweep_rows("--scenario", scenario, "--tau1", "0.2", "--tau2", "0.6", "--sweep", "lambda=0.5:0.5:1")
+        assert any(k.startswith("oracle_") for k in equal)
+        assert kept in unequal and not any(k.startswith("oracle_") for k in unequal)
+
+
+def test_no_oracle_for_a_protocol_the_oracle_does_not_describe(tmp_path):
+    r = run_cli("steady", "--scenario", "cf-clean", "--tau", "0.3", "--lambda", "0.7", "--eta0", "0.2")
+    assert r.returncode == 0
+    assert "oracle: none for this configuration" in r.stdout and "oracle_dev" not in r.stdout
+    cfg = tmp_path / "clean-cf-eta.json"
+    cfg.write_text(json.dumps({"scenario": "cf-eta", "eta": {"preset": "clean"}}))
+    r = run_cli("steady", "--config", str(cfg))
+    assert r.returncode == 0
+    assert "oracle: none for this configuration" in r.stdout
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps({"scenario": "bitflip-povm", "tau": 0.4, "stage": {
+        "type": "mf-povm", "kraus": [[[0, 0.6], [0.8, 0]], [[0, 0.8], [0.6, 0]]]}}))
+    rows = _sweep_rows("--config", str(povm), "--sweep", "lambda=0.5:0.5:1")
+    assert not any(k.startswith("oracle_") for k in rows[0])
+    # the scenario's own eta spec keeps its oracle, at any eta0 of an eta0 scenario
+    r = run_cli("steady", "--scenario", "cf-eta", "--eta0", "0.2")
+    assert r.returncode == 0
+    assert "oracle_entropy_linear" in r.stdout
+
+
+# oracle column -> the simulated column it must match
+ORACLE_COLUMNS = {
+    "oracle_alpha0": "alpha0", "oracle_entropy_linear": "entropy_linear", "oracle_rho11": "rho11",
+    "oracle_fidelity": "haar_fidelity", "oracle_s_mf": "mf_entropy_linear", "oracle_s_cf": "cf_entropy_linear",
+    "oracle_rho11_chi0": "cf_chi0_rho11", "oracle_rho11_chipi2": "cf_chipi2_rho11", "oracle_rho11_mf": "mf_rho11",
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_matches_its_oracle_columns(capsys, name, d):
+    scenario = SCENARIOS[name]
+    if d == 3 and (scenario.qubit_only or "eta0" in scenario.defaults["eta"]):
+        assert cli.main(["sweep", "--scenario", name, "--d", "3", "--sweep", "tau=0.5:0.5:1"]) == 2
+        assert "d=2" in capsys.readouterr().err  # "qubit-only (d=2)", or the eta0 family "needs d=2"
+        return
+    cfg = resolve_config({"scenario": name, "d": d})
+    row = metric_row(cfg)
+    oracle_keys = [k for k in row if k.startswith("oracle_")]
+    assert oracle_keys or (name, d) == ("mf-clean-cooling", 3)  # its oracle is the qubit formula
+    for key in oracle_keys:
+        if key == "oracle_dev":
+            assert row[key] <= 1e-9
+        elif key == "oracle_alpha1":
+            (p,) = build_protocols(cfg).values()
+            assert abs(np.linalg.eigvalsh(steady_state(p)[0])[0] - row[key]) <= 1e-9
+        elif key == "oracle_cf_crossover_tau":
+            # at the crossover the chi=0 coherent loop and measure-and-repump hold the same rho11
+            at = metric_row(resolve_config({"scenario": name, "tau": row[key]}))
+            assert abs(at["cf_chi0_rho11"] - at["mf_rho11"]) <= 1e-9
+        else:
+            assert abs(row[ORACLE_COLUMNS[key]] - row[key]) <= 1e-9, key
 
 
 def test_validate_single_check_passes():
