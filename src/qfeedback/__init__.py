@@ -10,14 +10,12 @@ from .loop import (
     PovmStage,
     ProjectiveStage,
     Superoperator,
-    TrajectoryRecord,
     all_to_target_stage,
     build_superoperator,
     conditional_branches,
     cycle_unconditional,
     iterate_to_fixed_point,
     sample_ensemble,
-    sample_trajectory,
     steady_state,
 )
 
@@ -33,7 +31,6 @@ __all__ = [
     "PovmStage",
     "FeedbackProtocol",
     "Superoperator",
-    "TrajectoryRecord",
     "DegenerateSteadyStateError",
     "all_to_target_stage",
     "build_superoperator",
@@ -41,6 +38,5 @@ __all__ = [
     "cycle_unconditional",
     "iterate_to_fixed_point",
     "sample_ensemble",
-    "sample_trajectory",
     "steady_state",
 ]

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
-from .metrics import linear_entropy, purity, von_neumann_entropy
 from .quantum import maximally_mixed
 from .scenarios import SCENARIOS, ConfigError, _validate_resolved, build_protocols, metric_row, resolve_config
 
@@ -108,11 +107,11 @@ def cmd_steady(args: argparse.Namespace) -> int:
     print(f"scenario: {cfg['scenario']} (d={cfg['d']}, tau1={cfg['tau1']:g}, tau2={cfg['tau2']:g}, "
           f"lambda={cfg['lambda']:g}, gamma={cfg['gamma']:g})")
     print("spectrum: " + ", ".join(_fmt(float(x)) for x in spectrum))
-    print(f"von Neumann entropy (normalised): {_fmt(von_neumann_entropy(rho, normalised=True))}")
-    print(f"linear entropy: {_fmt(linear_entropy(rho))}")
-    print(f"purity: {_fmt(purity(rho))}")
-    print(f"rho11: {_fmt(float(rho[1, 1].real))}")
-    print(f"spectral gap: {_fmt(gap)}")
+    print(f"von Neumann entropy (normalised): {_fmt(row['entropy_vn_norm'])}")
+    print(f"linear entropy: {_fmt(row['entropy_linear'])}")
+    print(f"purity: {_fmt(row['purity'])}")
+    print(f"rho11: {_fmt(row['rho11'])}")
+    print(f"spectral gap: {_fmt(row['gap'])}")
     oracle_keys = [k for k in row if k.startswith("oracle")]
     if oracle_keys:
         for k in oracle_keys:

@@ -129,16 +129,26 @@ def parse_matrix(rows) -> np.ndarray:
 
 
 def _stage_from_config(spec: dict, d: int):
+    """The in-loop stage of a config `stage` object, checked against d."""
     kind = spec.get("type")
-    if kind == "cf":
-        return CoherentStage(parse_matrix(spec["unitary"]))
-    if kind == "mf-projective":
-        basis = parse_matrix(spec["basis"]) if "basis" in spec else None
-        fb = tuple(parse_matrix(m) for m in spec["feedback"])
-        return ProjectiveStage(feedback=fb, basis=basis)
-    if kind == "mf-povm":
-        return PovmStage(kraus=tuple(parse_matrix(m) for m in spec["kraus"]))
-    raise ConfigError(f"unknown stage type {spec.get('type')!r}")
+    try:
+        if kind == "cf":
+            stage = CoherentStage(parse_matrix(spec["unitary"]))
+        elif kind == "mf-projective":
+            basis = parse_matrix(spec["basis"]) if "basis" in spec else None
+            stage = ProjectiveStage(feedback=tuple(parse_matrix(m) for m in spec["feedback"]), basis=basis)
+        elif kind == "mf-povm":
+            stage = PovmStage(kraus=tuple(parse_matrix(m) for m in spec["kraus"]))
+        else:
+            raise ConfigError(f"unknown stage type {kind!r}")
+        stage.controller_ops(d)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"stage {kind!r} needs the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad stage {kind!r} at d={d}: {exc}") from exc
+    return stage
 
 
 def _eta(cfg: dict) -> np.ndarray:

@@ -254,6 +254,25 @@ def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, li
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"scenario": "cf-clean", "d": 3, "stage": {"type": "cf", "unitary": [[0, 1], [1, 0]]}},
+     "in-loop unitary must be 3x3, got (2, 2)"),
+    ({"scenario": "cf-clean", "stage": {"type": "cf", "unitary": [[1, 1], [1, 0]]}}, "in-loop unitary is not unitary"),
+    ({"scenario": "cf-clean", "stage": {"type": "cf"}}, "needs the key 'unitary'"),
+    ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-projective", "feedback": [[[1, 0], [0, 1]]]}},
+     "need 2 feedback unitaries, got 1"),
+    ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-projective", "feedback": 5}}, "not iterable"),
+], ids=["cf-wrong-d", "cf-not-unitary", "cf-no-unitary", "mf-projective-too-few", "mf-projective-not-a-list"])
+@pytest.mark.parametrize("command", [["steady"], ["sweep", "--sweep", "tau=0.1:0.9:3"]], ids=["steady", "sweep"])
+def test_bad_config_stage_exits_2(capsys, tmp_path, config, message, command):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def _sweep_rows(*argv) -> list[dict]:
     r = run_cli("sweep", *argv)
     assert r.returncode == 0, r.stderr

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qfeedback.loop import (
     cycle_unconditional,
     iterate_to_fixed_point,
     sample_ensemble,
-    sample_trajectory,
     stack,
     steady_state,
 )
@@ -221,33 +221,51 @@ def test_cf_equals_infinitely_weak_povm():
 
 
 def test_perfect_cooling_trajectory():
-    recs = sample_trajectory(maximally_mixed(2), mf_cooling(2, 0.0, 1.0), 10, seed=0)
-    for r in recs:
-        assert max_abs(r.state - dm(ket(2, 0))) <= 1e-12
-        assert r.entropy <= 1e-12
+    # the state after step k depends only on the first k draws of the (seed, i)
+    # stream, so the k-step run ends in the state at step k
+    p = mf_cooling(2, 0.0, 1.0)
+    for k in range(1, 11):
+        ens = sample_ensemble(maximally_mixed(2), p, k, n_traj=1, seed=0)
+        assert max_abs(ens.final_states[0] - dm(ket(2, 0))) <= 1e-12
+        assert ens.entropies[0, -1] <= 1e-12
 
 
 def test_trajectory_seed_reproducibility():
     p = mf_cooling(2, 0.5, 0.5)
-    a = sample_trajectory(maximally_mixed(2), p, 30, seed=13)
-    b = sample_trajectory(maximally_mixed(2), p, 30, seed=13)
-    assert [r.outcome for r in a] == [r.outcome for r in b]
-    assert all(max_abs(x.state - y.state) == 0.0 for x, y in zip(a, b))
+    a = sample_ensemble(maximally_mixed(2), p, 30, n_traj=1, seed=13)
+    b = sample_ensemble(maximally_mixed(2), p, 30, n_traj=1, seed=13)
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert max_abs(a.final_states - b.final_states) == 0.0
 
 
-def test_trajectory_steps_are_one_indexed_records():
+def test_trajectory_arrays_hold_one_column_per_step():
     p = mf_cooling(2, 0.5, 0.5)
-    recs = sample_trajectory(maximally_mixed(2), p, 5, seed=3)
-    assert [r.step for r in recs] == [1, 2, 3, 4, 5]
-    for r in recs:
-        assert 0.0 <= r.probability <= 1.0
+    ens = sample_ensemble(maximally_mixed(2), p, 5, n_traj=1, seed=3)
+    for a in (ens.outcomes, ens.probabilities, ens.entropies, ens.rho11):
+        assert a.shape == (1, 5)
+    assert np.all((ens.probabilities >= 0.0) & (ens.probabilities <= 1.0))
 
 
 def test_cf_trajectory_is_deterministic():
     p = cf(2, 0.3, 0.8, maximally_mixed(2))
-    recs = sample_trajectory(maximally_mixed(2), p, 5, seed=1)
-    assert all(r.outcome == 0 for r in recs)
-    assert all(abs(r.probability - 1.0) <= 1e-12 for r in recs)
+    ens = sample_ensemble(maximally_mixed(2), p, 5, n_traj=1, seed=1)
+    assert np.all(ens.outcomes == 0)
+    assert np.all(np.abs(ens.probabilities - 1.0) <= 1e-12)
+
+
+def _reference_trajectory(rho0, p, steps, seed, i):
+    """Trajectory i, one state at a time: inverse CDF over conditional_branches
+    with the uniforms of the (seed, i) stream."""
+    rho, outcomes, probs, entropies = rho0, [], [], []
+    for u in np.random.default_rng((seed, i)).random(steps):
+        branches = conditional_branches(rho, p)
+        cum = np.cumsum([q for q, _ in branches])
+        j = min(int(np.sum(u * cum[-1] >= cum)), len(branches) - 1)
+        q, rho = branches[j]
+        outcomes.append(j)
+        probs.append(q)
+        entropies.append(von_neumann_entropy(rho, normalised=True))
+    return outcomes, probs, entropies, rho
 
 
 def test_ensemble_matches_single_trajectories():
@@ -255,19 +273,36 @@ def test_ensemble_matches_single_trajectories():
     rho0 = maximally_mixed(2)
     ens = sample_ensemble(rho0, p, 25, n_traj=4, seed=99)
     for i in range(4):
-        recs = sample_trajectory(rho0, p, 25, seed=99, trajectory_index=i)
-        assert np.array_equal(ens.outcomes[i], [r.outcome for r in recs])
-        assert np.allclose(ens.probabilities[i], [r.probability for r in recs], atol=1e-13)
-        assert np.allclose(ens.entropies[i], [r.entropy for r in recs], atol=1e-12)
-        assert max_abs(ens.final_states[i] - recs[-1].state) <= 1e-13
+        outcomes, probs, entropies, final = _reference_trajectory(rho0, p, 25, 99, i)
+        assert np.array_equal(ens.outcomes[i], outcomes)
+        assert np.allclose(ens.probabilities[i], probs, atol=1e-13)
+        assert np.allclose(ens.entropies[i], entropies, atol=1e-12)
+        assert max_abs(ens.final_states[i] - final) <= 1e-13
 
 
 def test_ensemble_thread_invariance():
     p = mf_cooling(2, 0.5, 0.5)
     a = sample_ensemble(maximally_mixed(2), p, 15, 31, seed=5, threads=1)
-    b = sample_ensemble(maximally_mixed(2), p, 15, 31, seed=5, threads=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the workers fill disjoint rows of shared arrays: switch threads often
+    try:
+        b = sample_ensemble(maximally_mixed(2), p, 15, 31, seed=5, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(a.probabilities, b.probabilities)
     assert np.array_equal(a.final_states, b.final_states)
+    for k in (1, 7, 16):
+        c = sample_ensemble(maximally_mixed(2), p, 15, k, seed=5, threads=4)
+        assert np.array_equal(a.outcomes[:k], c.outcomes)
+        assert np.array_equal(a.probabilities[:k], c.probabilities)
+        assert np.array_equal(a.final_states[:k], c.final_states)
+
+
+@pytest.mark.parametrize("steps, n_traj", [(0, 5), (5, 0), (-1, 5)])
+def test_empty_ensemble_is_refused(steps, n_traj):
+    with pytest.raises(ValueError, match="at least 1"):
+        sample_ensemble(maximally_mixed(2), mf_cooling(2, 0.5, 0.5), steps, n_traj, seed=0)
 
 
 def test_conditional_branch_eigenvalues_match_formulas():
