@@ -10,6 +10,11 @@ runs that write an output file also write a `<out>.meta.json` sidecar with
 the fully resolved configuration, seed and package version, which is enough
 to reproduce the output byte for byte.
 
+A sweep computes all its points as one batch. Points whose steady state is
+degenerate are left out of the CSV, named on stderr and listed under
+`degenerate` in the sidecar, and the sweep exits 3 after writing the other
+rows.
+
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 degenerate steady state.
 """
@@ -28,7 +33,8 @@ import numpy as np
 from . import __version__
 from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
 from .quantum import maximally_mixed
-from .scenarios import SCENARIOS, ConfigError, _validate_resolved, build_protocols, metric_row, resolve_config
+from .scenarios import (SCENARIOS, ConfigError, _validate_resolved, build_protocols, metric_row, metric_rows,
+                        resolve_config)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,8 +63,8 @@ def _row_blocks(rows: list[list]) -> list:
     return [(template, list(zip(*([x for x in row if x is not None] for row in run)))) for template, run in runs]
 
 
-def _write_sidecar(path: str, command: str, cfg: dict) -> None:
-    meta = {"command": command, "config": cfg, "version": __version__}
+def _write_sidecar(path: str, command: str, cfg: dict, **outcome) -> None:
+    meta = {"command": command, "config": cfg, "version": __version__, **outcome}
     with open(path + ".meta.json", "w", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -165,6 +171,8 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     allowed = {"tau", "tau1", "tau2", "lambda", "gamma", "eta0", "chi", "phi1", "a", "b"}
     if name not in allowed:
         raise ConfigError(f"cannot sweep {name!r}; allowed: {sorted(allowed)}")
+    if values.size == 0:
+        raise ConfigError(f"sweep axis {spec!r} needs at least one point")
     return name, values
 
 
@@ -186,23 +194,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axes = [_parse_axis(s) for s in (args.sweep or [])]
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 --sweep axes, got {len(axes)}")
+    names = [name for name, _ in axes]
     points = list(itertools.product(*(values for _, values in axes)))
 
     point_cfgs = [_point_config(cfg, axes, values) for values in points]  # all checked before any row is computed
-    rows = []
-    header: list[str] | None = None
-    for values, point_cfg in zip(points, point_cfgs):
-        row = metric_row(point_cfg)
-        if header is None:
-            header = [name for name, _ in axes] + list(row.keys())
-        rows.append([float(v) for v in values] + [row.get(k) for k in header[len(axes):]])
-    assert header is not None
+    rows, degenerate = [], []
+    for values, row in zip(points, metric_rows(point_cfgs)):
+        if isinstance(row, DegenerateSteadyStateError):
+            degenerate.append((values, row))
+        else:
+            rows.append((values, row))
 
-    _write_csv(args.out, header, _row_blocks(rows))
-    if args.out:
-        _write_sidecar(args.out, "sweep", cfg | {"sweep": args.sweep})
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    if rows:
+        header = names + list(rows[0][1].keys())
+        _write_csv(args.out, header, _row_blocks(
+            [[float(v) for v in values] + [row.get(k) for k in header[len(axes):]] for values, row in rows]))
+        if args.out:
+            named = [dict(zip(names, map(float, values))) for values, _ in degenerate]
+            _write_sidecar(args.out, "sweep", cfg | {"sweep": args.sweep}, **({"degenerate": named} if named else {}))
+            print(f"wrote {len(rows)} rows to {args.out}")
+    for values, exc in degenerate:
+        where = ", ".join(f"{name}={_fmt(float(v))}" for name, v in zip(names, values))
+        print(f"degenerate steady state at {where}, row left out: {exc}", file=sys.stderr)
+    return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -26,12 +26,14 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return (m + m†)/2, raising if m is further than `tol` from Hermitian."""
+    """Return (m + m†)/2, raising if m is further than `tol` from Hermitian.
+    A stack of matrices (..., n, n) is symmetrised matrix by matrix."""
     m = np.asarray(m, dtype=complex)
-    dev = max_abs(m - m.conj().T)
+    m_dag = np.swapaxes(m, -1, -2).conj()
+    dev = max_abs(m - m_dag)
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M†| = {dev:.3e} > {tol:.1e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m_dag)
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:

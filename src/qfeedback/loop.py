@@ -13,6 +13,10 @@ once per protocol; the superoperator Σ_j L_j, its steady state (cross-checked
 by fixed-point iteration), the branch probabilities vec(1)ᵀ L_j vec ρ and the
 seeded trajectories (trajectory i is row i of one ensemble) read from it.
 
+Many protocols (the points of a sweep) are built as one (P, J, d², d²) stack
+by `branch_liouvillians` and solved as one batch by `steady_states`; a single
+protocol is the one-point case of both.
+
 The controller is a single qudit; protocols with composite controllers are
 out of scope (the stage types are the extension point).
 """
@@ -37,6 +41,9 @@ PROBABILITY_FLOOR = 1e-15
 # Joint system-controller dimension d² <= 256 (the linops contract). The
 # branch stack L holds J·d⁴ complex entries: 16.8 MB at d = 16 with J = d.
 MAX_DIM = 16
+# A batch of protocols is built and solved in blocks whose L stacks hold at
+# most this many bytes (at least one protocol per block).
+MAX_BLOCK_BYTES = 1 << 24
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -149,51 +156,94 @@ class FeedbackProtocol:
 
 
 def _liouville(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Σ_i w_i Ā_i⊗A_i for each stack ops[j] of operators A_i, shape (J, n, d, d):
-    with X[i, (b, e)] = A_i[b, e], Xᵀ·diag(w)·X̄ holds Σ_i w_i A_i[b, e] Ā_i[a, c],
-    which a reshuffle moves to the Kronecker index [(a, b), (c, e)]."""
-    n_j, n, d, _ = ops.shape
-    x = ops.reshape(n_j, n, d * d)
-    prod = np.swapaxes(x, 1, 2) @ (weights[:, None] * x.conj())
-    return prod.reshape(n_j, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(n_j, d * d, d * d)
+    """Σ_i w_i Ā_i⊗A_i for each stack of operators A_i in ops, shape (..., n, d, d),
+    with weights (..., n): with X[i, (b, e)] = A_i[b, e], Xᵀ·diag(w)·X̄ holds
+    Σ_i w_i A_i[b, e] Ā_i[a, c], which a reshuffle moves to the Kronecker index
+    [(a, b), (c, e)]."""
+    *lead, n, d, _ = ops.shape
+    x = ops.reshape(*lead, n, d * d)
+    prod = np.swapaxes(x, -1, -2) @ (weights[..., None] * x.conj())
+    k = len(lead)
+    return (prod.reshape(*lead, d, d, d, d).transpose(*range(k), k + 2, k, k + 3, k + 1)
+            .reshape(*lead, d * d, d * d))
 
 
-def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:
-    """Per-outcome Liouville matrices of a cycle whose second coupling has
-    transmissivity `tau2` (p.tau2; 1 stops before the second coupling).
+def noise_liouville(noise: KrausChannel) -> np.ndarray:
+    """The d²xd² Liouville matrix Σ K̄⊗K of a noise channel."""
+    return _liouville(np.stack(noise.kraus), np.ones(len(noise.kraus)))
+
+
+def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-outcome Liouville matrices of P cycles, stacked (P, J, d², d²).
+
+    Point p has transmissivities tau1[p] and tau2[p] (a tau2 of 1 stops before
+    the second coupling), reset state eta[p] (d x d), in-loop controller
+    operators ops[p] (J x d x d) and noise Liouville matrix noise[p] (d² x d²).
+    Every point's transmissivities and reset state are checked.
 
     U = √τ·1 - i√(1-τ)·S splits U₂(1⊗M_j)U₁ into four terms, so A_jkl =
     c₁₁<k|M_j|f_l> 1 - i c₁₂|f_l><k|M_j - i c₂₁ M_j|f_l><k| - c₂₂<k|f_l> M_j.
     Each c is one square root, e.g. c₁₂ = √(τ₂(1-τ₁)), not a product of two,
     which keeps dyadic entries (τ = 1/2) exact.
     """
-    d, tau1 = p.d, p.tau1
-    e, f = np.linalg.eigh(p.eta)
-    keep = e != 0.0  # a pure or rank-deficient reset state needs fewer Kraus terms
-    e, f = e[keep], f[:, keep]
-    m = np.stack(p.stage.controller_ops(d))
-    mf = m @ f
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    for name, t in (("tau1", tau1), ("tau2", tau2)):
+        outside = ~((0.0 <= t) & (t <= 1.0))
+        if outside.any():
+            raise ValueError(f"{name} must be in [0,1], got {t[outside][0]}")
+    return _stacked_liouvillians(tau1, tau2, check_density_matrix(eta, what="controller reset state"), ops, noise)
+
+
+def _stacked_liouvillians(tau1: np.ndarray, tau2: np.ndarray, eta: np.ndarray, ops: np.ndarray,
+                          noise: np.ndarray) -> np.ndarray:
+    """`branch_liouvillians` on inputs that are already checked."""
+    n_pts, n_j, d, _ = ops.shape
+    e, f = np.linalg.eigh(eta)
+    # a pure or rank-deficient reset state needs fewer Kraus terms: points are built by the support of η
+    keep = e != 0.0
+    support_codes = keep @ (1 << np.arange(d))
+    out = np.empty((n_pts, n_j, d * d, d * d), dtype=complex)
     eye = np.eye(d)
-    kraus = (np.sqrt(tau2 * tau1) * np.einsum("jkl,ab->jklab", mf, eye)
-             - 1j * np.sqrt(tau2 * (1.0 - tau1)) * np.einsum("al,jkb->jklab", f, m)
-             - 1j * np.sqrt((1.0 - tau2) * tau1) * np.einsum("jal,kb->jklab", mf, eye)
-             - np.sqrt((1.0 - tau2) * (1.0 - tau1)) * np.einsum("kl,jab->jklab", f, m))
-    kraus = kraus.reshape(len(m), d * len(e), d, d)  # [j, (k, l), a, b]
-    noise = _liouville(np.stack(p.noise.kraus)[None], np.ones(len(p.noise.kraus)))[0]
-    return _liouville(kraus, np.tile(e, d)) @ noise
+    for code in dict.fromkeys(support_codes.tolist()):
+        pts = np.flatnonzero(support_codes == code)
+        support = keep[pts[0]]
+        ep, fp, m = e[pts][:, support], f[pts][:, :, support], ops[pts]
+        t1, t2 = tau1[pts, None, None, None, None, None], tau2[pts, None, None, None, None, None]
+        mf = m @ fp[:, None]
+        kraus = (np.sqrt(t2 * t1) * np.einsum("pjkl,ab->pjklab", mf, eye)
+                 - 1j * np.sqrt(t2 * (1.0 - t1)) * np.einsum("pal,pjkb->pjklab", fp, m)
+                 - 1j * np.sqrt((1.0 - t2) * t1) * np.einsum("pjal,kb->pjklab", mf, eye)
+                 - np.sqrt((1.0 - t2) * (1.0 - t1)) * np.einsum("pkl,pjab->pjklab", fp, m))
+        kraus = kraus.reshape(len(pts), n_j, d * ep.shape[1], d, d)  # [p, j, (k, l), a, b]
+        out[pts] = _liouville(kraus, np.tile(ep, d)[:, None]) @ noise[pts, None]
+    return out
+
+
+def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:
+    """Per-outcome Liouville matrices of the cycle of p with its second coupling
+    at transmissivity `tau2` (p.tau2; 1 stops before the second coupling)."""
+    ops = np.stack(p.stage.controller_ops(p.d))
+    return _stacked_liouvillians(np.array([p.tau1]), np.array([tau2]), p.eta[None], ops[None],
+                                 noise_liouville(p.noise)[None])[0]
+
+
+def _check_state(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
+    """A density matrix of the protocol's dimension, symmetrised."""
+    rho = check_density_matrix(rho)
+    if rho.shape != (p.d, p.d):
+        raise ValueError(f"state shape {rho.shape} does not match protocol d={p.d}")
+    return rho
 
 
 def cycle_unconditional(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
     """One unconditional feedback collision (measurement outcomes averaged over)."""
-    rho = check_density_matrix(rho)
-    if rho.shape != (p.d, p.d):
-        raise ValueError(f"state shape {rho.shape} does not match protocol d={p.d}")
+    rho = _check_state(rho, p)
     return clean_state(unstack(p.L.sum(axis=0) @ stack(rho), p.d))
 
 
 def conditional_branches(rho: np.ndarray, p: FeedbackProtocol) -> list[tuple[float, np.ndarray]]:
     """Per-outcome (probability, normalised post-cycle system state)."""
-    rho = check_density_matrix(rho)
+    rho = _check_state(rho, p)
     outs = p.L @ stack(rho)
     branches = []
     for prob, out in zip(_traces(outs, p.d).tolist(), outs):
@@ -232,11 +282,7 @@ class Superoperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
             raise ValueError(f"superoperator must be {n}x{n}, got {m.shape}")
-        # trace preservation: the stacked identity is a left fixed vector
-        left = stack(np.eye(self.d)) @ m
-        dev = max_abs(left - stack(np.eye(self.d)))
-        if dev > 1e-10:
-            raise ValueError(f"superoperator does not preserve trace: deviation {dev:.3e}")
+        _check_trace_preserving(m, self.d)
         object.__setattr__(self, "matrix", m)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -244,32 +290,60 @@ class Superoperator:
         return unstack(stack(rho) @ self.matrix.T, self.d)
 
 
+def _check_trace_preserving(m: np.ndarray, d: int) -> None:
+    """Every superoperator of the stack (..., d², d²) has the stacked identity as a left fixed vector."""
+    dev = max_abs(stack(np.eye(d)) @ m - stack(np.eye(d)))
+    if dev > 1e-10:
+        raise ValueError(f"superoperator does not preserve trace: deviation {dev:.3e}")
+
+
 def build_superoperator(p: FeedbackProtocol) -> Superoperator:
     """The cycle superoperator Σ_j L_j."""
     return Superoperator(p.d, p.L.sum(axis=0))
 
 
-def steady_state(p: FeedbackProtocol) -> tuple[np.ndarray, float]:
-    """Fixed point of the unconditional cycle and the spectral gap 1 - |λ₂|.
+def superoperators(L: np.ndarray, d: int) -> np.ndarray:
+    """The cycle superoperators Σ_j L_j of a batch of branch stacks (P, J, d², d²), checked."""
+    m = L.sum(axis=1)
+    _check_trace_preserving(m, d)
+    return m
 
-    Solved by full eigendecomposition of the cycle superoperator, taking the
-    eigenvector of the eigenvalue nearest 1. Raises DegenerateSteadyStateError
+
+def degenerate_error(second: float) -> DegenerateSteadyStateError:
+    return DegenerateSteadyStateError(
+        f"second eigenvalue magnitude {second:.12f} is within 1e-8 of 1; the steady state is not unique"
+    )
+
+
+def steady_states(sops: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed points of a stack of cycle superoperators (P, d², d²), their
+    second eigenvalue magnitudes |λ₂| (the spectral gap is 1 - |λ₂|) and the
+    mask of degenerate points.
+
+    Solved by full eigendecomposition, taking the eigenvector of the eigenvalue
+    nearest 1. A point whose |λ₂| lies within 1e-8 of 1 has no unique fixed
+    point: it is degenerate, and its state is left NaN.
+    """
+    evals, evecs = np.linalg.eig(sops)
+    second = np.sort(np.abs(evals), axis=-1)[:, -2]
+    degenerate = second > 1.0 - 1e-8
+    states = np.full((len(sops), d, d), np.nan, dtype=complex)
+    unique = np.flatnonzero(~degenerate)
+    nearest = np.argmin(np.abs(evals[unique] - 1.0), axis=-1)
+    rho = hermitize(unstack(evecs[unique, :, nearest], d), tol=np.inf)
+    states[unique] = clean_state(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
+    return states, second, degenerate
+
+
+def steady_state(p: FeedbackProtocol) -> tuple[np.ndarray, float]:
+    """Fixed point of the unconditional cycle and the spectral gap 1 - |λ₂|:
+    the one-protocol case of `steady_states`. Raises DegenerateSteadyStateError
     when a second eigenvalue sits within 1e-8 of unit magnitude.
     """
-    sop = build_superoperator(p)
-    evals, evecs = np.linalg.eig(sop.matrix)
-    order = np.argsort(-np.abs(evals))
-    mags = np.abs(evals[order])
-    if len(mags) > 1 and mags[1] > 1.0 - 1e-8:
-        raise DegenerateSteadyStateError(
-            f"second eigenvalue magnitude {mags[1]:.12f} is within 1e-8 of 1; "
-            "the steady state is not unique"
-        )
-    gap = float(1.0 - mags[1]) if len(mags) > 1 else 1.0
-    v = evecs[:, int(np.argmin(np.abs(evals - 1.0)))]
-    rho = hermitize(unstack(v, p.d), tol=np.inf)
-    rho = rho / np.trace(rho).real
-    return clean_state(rho), gap
+    (rho,), (second,), (degenerate,) = steady_states(build_superoperator(p).matrix[None], p.d)
+    if degenerate:
+        raise degenerate_error(second)
+    return rho, float(1.0 - second)
 
 
 def iterate_to_fixed_point(
@@ -382,7 +456,7 @@ def sample_ensemble(
     """
     if n_traj < 1 or steps < 1:
         raise ValueError(f"steps and n_traj must be at least 1, got steps={steps}, n_traj={n_traj}")
-    rho0 = check_density_matrix(rho0)
+    rho0 = _check_state(rho0, p)
     out = EnsembleResult(*(np.empty((n_traj, steps), dtype) for dtype in (np.int64, float, float, float)),
                          final_states=np.empty((n_traj, p.d, p.d), dtype=complex))
     n_chunks = 1 if threads <= 1 or n_traj < 2 * threads else threads

@@ -13,26 +13,36 @@ import functools
 
 import numpy as np
 
+from .loop import build_superoperator, stack, unstack
 from .quantum import check_density_matrix, pauli_x
 
+# A batched Haar average evaluates the output states of at most this many
+# inputs at a time (four protocols at 32x32 nodes), which keeps the memory of
+# a batch near that of a single protocol.
+HAAR_CHUNK_STATES = 4096
 
-def von_neumann_entropy(rho: np.ndarray, normalised: bool = False) -> float:
-    """-sum λ ln λ in nats, divided by ln(d) when normalised (0·ln0 := 0)."""
+
+def von_neumann_entropy(rho: np.ndarray, normalised: bool = False):
+    """-sum λ ln λ in nats, divided by ln(d) when normalised (0·ln0 := 0).
+    A stack of states (..., d, d) gives an array of entropies."""
     rho = check_density_matrix(rho)
     w = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    w = w[w > 0.0]
-    s = float(-np.sum(w * np.log(w))) + 0.0  # avoid -0.0 for pure states
-    return s / np.log(rho.shape[0]) if normalised else s
+    support = w > 0.0  # the zero eigenvalues lead the ascending spectrum and are left out of the sum
+    s = -np.sum(w * np.log(np.where(support, w, 1.0)), axis=-1, where=support) + 0.0  # avoid -0.0 for pure states
+    s = s / np.log(rho.shape[-1]) if normalised else s
+    return float(s) if rho.ndim == 2 else s
 
 
-def linear_entropy(rho: np.ndarray) -> float:
-    """1 - tr(rho²)."""
-    rho = check_density_matrix(rho)
-    return float(1.0 - np.trace(rho @ rho).real)
+def linear_entropy(rho: np.ndarray):
+    """1 - tr(rho²); an array for a stack of states (..., d, d)."""
+    return 1.0 - purity(check_density_matrix(rho))
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
+def purity(rho: np.ndarray):
+    """tr(rho²); an array for a stack of states (..., d, d)."""
+    rho = np.asarray(rho)
+    tr = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return float(tr) if rho.ndim == 2 else tr
 
 
 def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
@@ -63,33 +73,43 @@ def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, int]:
     return psi, w, nodes
 
 
-def _bitflip_fidelities(p, psi: np.ndarray) -> np.ndarray:
-    """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi, with ψ_X = σ_x ψ and Φ the
-    protocol's unconditional cycle."""
-    from .loop import build_superoperator  # deferred: loop builds on quantum only
-
-    outs = build_superoperator(p).apply(np.einsum("na,nb->nab", psi, psi.conj()))
+def _bitflip_fidelities(sops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi and each qubit superoperator Φ
+    of the stack sops (P, 4, 4), with ψ_X = σ_x ψ: shape (P, len(psi))."""
+    outs = unstack(stack(np.einsum("na,nb->nab", psi, psi.conj())) @ np.swapaxes(sops, -1, -2), 2)
     targets = psi @ pauli_x.T  # σ_x ψ, row-wise
-    return np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
+    return np.einsum("na,pnab,nb->pn", targets.conj(), outs, targets).real
 
 
-def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
-    """Haar-averaged fidelity of the protocol's output to sigma_x |psi>.
+def _check_bitflip_protocol(d: int, noise) -> None:
+    if d != 2:
+        raise ValueError("the bit-flip benchmark is qubit-only")
+    if len(noise.kraus) != 1 or not np.allclose(noise.kraus[0], np.eye(2), atol=1e-12):
+        raise ValueError("the bit-flip benchmark assumes identity noise")
+
+
+def haar_avg_bitflip_fidelities(sops: np.ndarray, nodes: int = 32) -> np.ndarray:
+    """Haar-averaged fidelity of the output of each qubit cycle superoperator
+    in the stack sops (P, 4, 4) to sigma_x |psi>.
 
     (4π)^-1 ∬ <ψ_X|ρ_out(χ,φ)|ψ_X> sinχ dχ dφ over the pure-state sphere,
-    with ψ_X = σ_x ψ. Requires a qubit protocol with identity noise (the
-    bit-flip benchmark is defined without system noise).
+    with ψ_X = σ_x ψ.
     """
     if nodes < 4:
         raise ValueError(f"need at least 4 quadrature nodes per axis, got {nodes}")
-    if p.d != 2:
-        raise ValueError("the bit-flip benchmark is qubit-only")
-    if len(p.noise.kraus) != 1 or not np.allclose(p.noise.kraus[0], np.eye(2), atol=1e-12):
-        raise ValueError("the bit-flip benchmark assumes identity noise")
     psi, w, n_phi = _bloch_states(nodes)
-    fids = _bitflip_fidelities(p, psi)
-    per_polar = fids.reshape(nodes, n_phi).mean(axis=1)  # exact trapezoid on the circle
-    return float(0.5 * np.sum(w * per_polar))
+    chunk = max(1, HAAR_CHUNK_STATES // len(psi))
+    fids = np.concatenate([_bitflip_fidelities(sops[i:i + chunk], psi) for i in range(0, len(sops), chunk)])
+    per_polar = fids.reshape(len(sops), nodes, n_phi).mean(axis=-1)  # exact trapezoid on the circle
+    return 0.5 * np.sum(w * per_polar, axis=-1)
+
+
+def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
+    """The Haar-averaged bit-flip fidelity of one protocol: a qubit protocol
+    with identity noise (the bit-flip benchmark is defined without system
+    noise). The one-protocol case of `haar_avg_bitflip_fidelities`."""
+    _check_bitflip_protocol(p.d, p.noise)
+    return float(haar_avg_bitflip_fidelities(build_superoperator(p).matrix[None], nodes)[0])
 
 
 def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
@@ -100,4 +120,4 @@ def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
     psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return float(_bitflip_fidelities(p, psi).mean())
+    return float(_bitflip_fidelities(build_superoperator(p).matrix[None], psi)[0].mean())

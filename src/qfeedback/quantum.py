@@ -8,6 +8,7 @@ enforces completeness on construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,17 @@ def maximally_mixed(d: int) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, what: str = "state") -> np.ndarray:
-    """Validate the density-matrix invariants and return the symmetrised matrix."""
+    """Validate the density-matrix invariants and return the symmetrised matrix.
+    A stack (..., d, d) is checked matrix by matrix; an error names the first failure."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {rho.shape}")
     rho = hermitize(rho)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{what} has trace {tr!r}, expected 1")
-    wmin = float(np.linalg.eigvalsh(rho)[0])
+    tr = np.atleast_1d(np.trace(rho, axis1=-2, axis2=-1).real)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"{what} has trace {tr[off][0]!r}, expected 1")
+    wmin = float(np.linalg.eigvalsh(rho)[..., 0].min(initial=np.inf))
     if wmin < EIG_FLOOR:
         raise ValueError(f"{what} has eigenvalue {wmin:.3e} below {EIG_FLOOR:.1e}")
     return rho
@@ -58,14 +61,16 @@ def clean_state(rho: np.ndarray) -> np.ndarray:
     """Per-cycle state hygiene: symmetrise, clip tiny negative eigenvalues, renormalise.
 
     Eigenvalues in [-1e-8, 0) are clipped to 0; anything below -1e-8 is an error.
+    A stack (..., d, d) is cleaned matrix by matrix.
     """
     rho = hermitize(rho)
     w, v = np.linalg.eigh(rho)
-    if w[0] < EIG_FLOOR:
-        raise ValueError(f"state eigenvalue {w[0]:.3e} below {EIG_FLOOR:.1e}")
+    wmin = w[..., 0].min(initial=np.inf)
+    if wmin < EIG_FLOOR:
+        raise ValueError(f"state eigenvalue {wmin:.3e} below {EIG_FLOOR:.1e}")
     w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
-    return rho / np.trace(rho).real
+    rho = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +98,20 @@ def identity_channel(d: int) -> KrausChannel:
     return KrausChannel(d, (np.eye(d, dtype=complex),))
 
 
-def _weyl_ops(d: int) -> list[np.ndarray]:
-    """The d² shift-and-clock unitaries; their uniform twirl fully depolarises."""
+@functools.lru_cache(maxsize=16)
+def _weyl_ops(d: int) -> tuple[np.ndarray, ...]:
+    """The d² shift-and-clock unitaries; their uniform twirl fully depolarises.
+    Cached per d; the arrays are read-only."""
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
     ops = []
     for a in range(d):
         for b in range(d):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return ops
+            op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            op.flags.writeable = False
+            ops.append(op)
+    return tuple(ops)
 
 
 def depolarizing_channel(d: int, lam: float) -> KrausChannel:

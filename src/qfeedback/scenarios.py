@@ -7,7 +7,10 @@ defaults and its closed-form oracle columns. The CLI and `validate` build
 every preset protocol from this table. A scenario resolves a flat config dict
 (scenario defaults < config file < command-line overrides) into one or more
 `FeedbackProtocol`s and computes its metric row, with the oracle values
-wherever the oracle describes the protocol that was built.
+wherever the oracle describes the protocol that was built. `metric_rows`
+computes the rows of many configs (a sweep) as one batch: noise, η and stages
+are built once per distinct non-tau configuration, and each protocol label is
+built and solved as one stack.
 """
 
 from __future__ import annotations
@@ -19,15 +22,21 @@ import numpy as np
 
 from . import oracles
 from .loop import (
+    MAX_BLOCK_BYTES,
     MAX_DIM,
     CoherentStage,
+    DegenerateSteadyStateError,
     FeedbackProtocol,
     PovmStage,
     ProjectiveStage,
     all_to_target_stage,
-    steady_state,
+    branch_liouvillians,
+    degenerate_error,
+    noise_liouville,
+    steady_states,
+    superoperators,
 )
-from .metrics import haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
+from .metrics import _check_bitflip_protocol, haar_avg_bitflip_fidelities, linear_entropy, purity, von_neumann_entropy
 from .quantum import (
     amplitude_damping_channel,
     controller_state,
@@ -313,28 +322,90 @@ def _overrides_stage(cfg: dict, scenario: Scenario) -> bool:
     return "stage" in cfg and len(scenario.stages) == 1
 
 
-def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
-    """Instantiate the protocol(s) for a resolved config, keyed by label."""
+def _stages(cfg: dict) -> dict:
+    """The in-loop stage of each protocol label of a resolved config."""
     scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
     override = _stage_from_config(cfg["stage"], d) if _overrides_stage(cfg, scenario) else None
     if scenario.qubit_only and d != 2:
         raise ConfigError(f"scenario {cfg['scenario']!r} is qubit-only (d=2)")
-    noise, eta = scenario.noise(cfg), _eta(cfg)
-    return {label: FeedbackProtocol(d=d, noise=noise, tau1=cfg["tau1"], tau2=cfg["tau2"], eta=eta,
-                                    stage=override or stage(cfg))
-            for label, stage in scenario.stages.items()}
+    return {label: override or stage(cfg) for label, stage in scenario.stages.items()}
 
 
-def _steady_metrics(rho: np.ndarray, gap: float, prefix: str = "") -> dict[str, float]:
-    w = np.sort(np.linalg.eigvalsh(rho))[::-1]
+def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
+    """Instantiate the protocol(s) for a resolved config, keyed by label."""
+    stages = _stages(cfg)
+    noise, eta = SCENARIOS[cfg["scenario"]].noise(cfg), _eta(cfg)
+    return {label: FeedbackProtocol(d=cfg["d"], noise=noise, tau1=cfg["tau1"], tau2=cfg["tau2"], eta=eta, stage=stage)
+            for label, stage in stages.items()}
+
+
+def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
+    """Metric columns of a stack of steady states (P, d, d) and their gaps."""
+    w = np.sort(np.linalg.eigvalsh(rho), axis=-1)[:, ::-1]
     return {
-        f"{prefix}alpha0": float(w[0]),
+        f"{prefix}alpha0": w[:, 0],
         f"{prefix}entropy_vn_norm": von_neumann_entropy(rho, normalised=True),
         f"{prefix}entropy_linear": linear_entropy(rho),
         f"{prefix}purity": purity(rho),
-        f"{prefix}rho11": float(rho[1, 1].real),
+        f"{prefix}rho11": rho[:, 1, 1].real,
         f"{prefix}gap": gap,
     }
+
+
+def _block_columns(cfgs: list[dict]) -> tuple[dict[str, np.ndarray], list[DegenerateSteadyStateError | None]]:
+    """Simulated metric columns of a block of configs of one scenario and d,
+    with each protocol label built and solved as one stack, and for every
+    point its DegenerateSteadyStateError, or None where its steady states are
+    unique."""
+    scenario, d = SCENARIOS[cfgs[0]["scenario"]], cfgs[0]["d"]
+    built: dict[str, tuple] = {}  # noise, η and stages: built once per distinct non-tau configuration
+    parts = []
+    for cfg in cfgs:
+        key = repr([(k, v) for k, v in cfg.items() if k not in ("tau", "tau1", "tau2")])
+        if key not in built:
+            stages = _stages(cfg)
+            noise, eta = scenario.noise(cfg), _eta(cfg)
+            if scenario.kind == "bitflip":
+                _check_bitflip_protocol(d, noise)
+            built[key] = (eta, noise_liouville(noise),
+                          {label: np.stack(stage.controller_ops(d)) for label, stage in stages.items()})
+        parts.append(built[key])
+    tau1, tau2 = [cfg["tau1"] for cfg in cfgs], [cfg["tau2"] for cfg in cfgs]
+    eta, noise = np.stack([part[0] for part in parts]), np.stack([part[1] for part in parts])
+    columns: dict[str, np.ndarray] = {}
+    errors: list[DegenerateSteadyStateError | None] = [None] * len(cfgs)
+    for label in scenario.stages:
+        ops = np.stack([part[2][label] for part in parts])
+        sops = superoperators(branch_liouvillians(tau1, tau2, eta, ops, noise), d)
+        if scenario.kind == "bitflip":  # the figure of merit is the Haar-averaged fidelity, not a steady state
+            columns["haar_fidelity"] = haar_avg_bitflip_fidelities(sops)
+            continue
+        states, second, degenerate = steady_states(sops, d)
+        unique = np.flatnonzero(~degenerate)
+        prefix = f"{label}_" if scenario.kind == "compare" else ""
+        for key, column in _steady_metrics(states[unique], 1.0 - second[unique], prefix).items():
+            columns[key] = np.full(len(cfgs), np.nan)
+            columns[key][unique] = column
+        for i in np.flatnonzero(degenerate):
+            errors[i] = errors[i] or degenerate_error(second[i])
+    return columns, errors
+
+
+def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadyStateError]:
+    """The metric rows of resolved configs of one scenario and d (the points
+    of a sweep), computed as one batch per block of points whose L stacks fit
+    MAX_BLOCK_BYTES. A point whose steady state is degenerate gets its
+    DegenerateSteadyStateError in place of a row."""
+    d = cfgs[0]["d"]
+    n_outcomes = max(len(stage.controller_ops(d)) for stage in _stages(cfgs[0]).values())
+    size = max(1, MAX_BLOCK_BYTES // (16 * n_outcomes * d ** 4))
+    rows = []
+    for start in range(0, len(cfgs), size):
+        block = cfgs[start:start + size]
+        columns, errors = _block_columns(block)
+        rows += [error or _with_oracle(cfg, {key: float(column[i]) for key, column in columns.items()})
+                 for i, (cfg, error) in enumerate(zip(block, errors))]
+    return rows
 
 
 def _oracle_applies(cfg: dict, scenario: Scenario) -> bool:
@@ -351,21 +422,23 @@ _DEV_COLUMNS = {"oracle_alpha0": "alpha0", "oracle_entropy_linear": "entropy_lin
 
 
 def metric_row(cfg: dict, solved: tuple[np.ndarray, float] | None = None) -> dict[str, float]:
-    """Compute the full metric row for a resolved config (sweep/steady output).
-    `solved`: the steady scenario's (state, gap), when the caller already has it."""
+    """Compute the full metric row for a resolved config (sweep/steady output):
+    the one-point case of `metric_rows`, raising DegenerateSteadyStateError at
+    a degenerate point. `solved`: the steady scenario's (state, gap), when the
+    caller already has it."""
+    if solved is None:
+        (row,) = metric_rows([cfg])
+        if isinstance(row, DegenerateSteadyStateError):
+            raise row
+        return row
+    rho, gap = solved
+    columns = _steady_metrics(rho[None], np.array([gap]))
+    return _with_oracle(cfg, {key: float(column[0]) for key, column in columns.items()})
+
+
+def _with_oracle(cfg: dict, row: dict[str, float]) -> dict[str, float]:
+    """A simulated row with its oracle and derived columns appended."""
     scenario = SCENARIOS[cfg["scenario"]]
-    if scenario.kind == "steady":
-        if solved is None:
-            (_, p), = build_protocols(cfg).items()
-            solved = steady_state(p)
-        row = _steady_metrics(*solved)
-    elif scenario.kind == "compare":
-        row = {}
-        for label, p in build_protocols(cfg).items():
-            row.update(_steady_metrics(*steady_state(p), prefix=f"{label}_"))
-    else:  # bitflip: the figure of merit is the Haar-averaged fidelity, not a steady state
-        (_, p), = build_protocols(cfg).items()
-        row = {"haar_fidelity": haar_avg_bitflip_fidelity(p)}
     if _oracle_applies(cfg, scenario):
         oracle = scenario.oracle(cfg)
         row.update(oracle)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -244,10 +245,11 @@ def test_sweep_rejects_unknown_axis():
     (["--scenario", "mf-noisy-cooling", "--d", "3", "--sweep", "eta0=0:1:3"], "needs d=2"),
     (["--scenario", "bitflip-povm", "--sweep", "a=0:2:3"], "a must be in [0,1], got 2.0"),
     (["--scenario", "bitflip-povm", "--sweep", "a=0:1:2", "--sweep", "b=0.5:1.5:2"], "b must be in [0,1], got 1.5"),
-], ids=["eta0", "tau", "eta0-qudit", "a", "b"])
+    (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0:1:0"], "needs at least one point"),
+], ids=["eta0", "tau", "eta0-qudit", "a", "b", "no-points"])
 def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, limit):
     # every point is checked before the first row is computed
-    monkeypatch.setattr(cli, "metric_row", lambda cfg: pytest.fail("a row was computed"))
+    monkeypatch.setattr(cli, "metric_rows", lambda cfgs: pytest.fail("a row was computed"))
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", *argv, "--out", str(out)]) == 2
     assert limit in capsys.readouterr().err
@@ -342,6 +344,67 @@ def test_every_scenario_matches_its_oracle_columns(capsys, name, d):
             assert abs(at["cf_chi0_rho11"] - at["mf_rho11"]) <= 1e-9
         else:
             assert abs(row[ORACLE_COLUMNS[key]] - row[key]) <= 1e-9, key
+
+
+def _sweep_cases():
+    """(id, config, sweep axes): every scenario along one and two axes at d=2, the
+    qudit scenarios at d=3, unequal couplings, stage overrides and eta0 endpoints."""
+    second_axis = {"ad-cf": "gamma=0.1:0.9:3", "ad-mf": "gamma=0.1:0.9:3", "ad-compare": "gamma=0.1:0.9:3",
+                   "bitflip-povm": "a=0:1:3"}
+    for name, scenario in sorted(SCENARIOS.items()):
+        other = second_axis.get(name, "lambda=0.2:1:3")
+        yield name, {"scenario": name}, ["tau=0:1:5"]
+        yield f"{name}-2axis", {"scenario": name, "tau1": 0.3, "tau2": 0.7}, ["tau1=0.1:0.9:3", other]
+        if "eta0" in scenario.defaults["eta"]:
+            yield f"{name}-eta0", {"scenario": name}, ["eta0=0:1:5", "tau=0.2:0.8:2"]
+        elif not scenario.qubit_only:
+            yield f"{name}-d3", {"scenario": name, "d": 3}, ["tau=0:1:4", "lambda=0.3:1:2"]
+    yield "cf-stage", {"scenario": "cf-clean", "stage": {"type": "cf", "unitary": [[0, 1], [1, 0]]}}, ["tau=0:1:4"]
+    yield "povm-stage", {"scenario": "bitflip-povm", "stage": {
+        "type": "mf-povm", "kraus": [[[0, 0.6], [0.8, 0]], [[0, 0.8], [0.6, 0]]]}}, ["tau2=0:1:4"]
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "many-blocks"])
+@pytest.mark.parametrize("config,axes", [case[1:] for case in _sweep_cases()], ids=[case[0] for case in _sweep_cases()])
+def test_sweep_rows_equal_pointwise_metric_rows(monkeypatch, config, axes, blocks):
+    from qfeedback import scenarios
+    from qfeedback.loop import DegenerateSteadyStateError
+
+    if blocks == "many-blocks":  # 16·J·d⁴ bytes per point: three d=2 points per block with J = 2
+        monkeypatch.setattr(scenarios, "MAX_BLOCK_BYTES", 3 * 16 * 2 * 2 ** 4)
+    cfg = resolve_config(config)
+    parsed = [cli._parse_axis(spec) for spec in axes]
+    cfgs = [cli._point_config(cfg, parsed, values) for values in itertools.product(*(v for _, v in parsed))]
+    rows = scenarios.metric_rows(cfgs)
+    assert len(rows) == len(cfgs)
+    for point_cfg, row in zip(cfgs, rows):
+        if isinstance(row, DegenerateSteadyStateError):
+            with pytest.raises(DegenerateSteadyStateError, match=str(row).replace(".", r"\.")):
+                metric_row(point_cfg)
+        else:
+            assert row == metric_row(point_cfg)  # exact, cell by cell
+
+
+def test_degenerate_sweep_points_are_named_and_the_other_rows_written(capsys, tmp_path):
+    # lambda = 1 and tau = 1 make the cycle the identity map: the point tau=1 has no unique steady state
+    argv = ["sweep", "--scenario", "mf-noisy-cooling", "--lambda", "1"]
+    assert cli.main([*argv, "--sweep", "tau=0:0.5:2"]) == 0
+    computed = capsys.readouterr().out
+    assert cli.main([*argv, "--sweep", "tau=0:1:3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == computed  # the rows of tau = 0 and 0.5, byte for byte
+    assert "degenerate steady state at tau=1, row left out" in err
+    csv = tmp_path / "s.csv"
+    assert cli.main([*argv, "--sweep", "tau=0:1:3", "--out", str(csv)]) == 3
+    out, err = capsys.readouterr()
+    assert csv.read_text() == computed and f"wrote 2 rows to {csv}" in out
+    assert "tau=1, row left out" in err
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert meta["degenerate"] == [{"tau": 1.0}]
+    # a sweep with no computed row writes nothing
+    assert cli.main(["sweep", "--scenario", "cf-noisy", "--tau", "1", "--lambda", "1", "--sweep", "chi=0:1:2",
+                     "--out", str(tmp_path / "none.csv")]) == 3
+    assert "chi=0, row left out" in capsys.readouterr().err and not (tmp_path / "none.csv").exists()
 
 
 def test_validate_single_check_passes():

@@ -15,13 +15,16 @@ from qfeedback.loop import (
     ProjectiveStage,
     _branch_liouvillians,
     all_to_target_stage,
+    branch_liouvillians,
     build_superoperator,
     conditional_branches,
     cycle_unconditional,
     iterate_to_fixed_point,
+    noise_liouville,
     sample_ensemble,
     stack,
     steady_state,
+    steady_states,
 )
 from qfeedback.metrics import purity, von_neumann_entropy
 from qfeedback.quantum import (
@@ -303,6 +306,51 @@ def test_ensemble_thread_invariance():
 def test_empty_ensemble_is_refused(steps, n_traj):
     with pytest.raises(ValueError, match="at least 1"):
         sample_ensemble(maximally_mixed(2), mf_cooling(2, 0.5, 0.5), steps, n_traj, seed=0)
+
+
+@pytest.mark.parametrize("run", [lambda rho, p: conditional_branches(rho, p),
+                                 lambda rho, p: sample_ensemble(rho, p, 3, 4, seed=0)],
+                         ids=["conditional_branches", "sample_ensemble"])
+def test_initial_state_of_the_wrong_dimension_is_refused(run):
+    with pytest.raises(ValueError, match=r"state shape \(3, 3\) does not match protocol d=2"):
+        run(maximally_mixed(3), mf_cooling(2, 0.5, 0.5))
+
+
+def test_batched_build_matches_one_protocol_at_a_time():
+    rng = np.random.default_rng(12)
+    for d in (2, 3):
+        protocols = [random_protocol(d, rng) for _ in range(4)]
+        # a pure reset state needs fewer Kraus terms: the batch splits by the support of η
+        protocols += [FeedbackProtocol(d, depolarizing_channel(d, 0.4), 0.3, 0.8, dm(ket(d, 1)), protocols[0].stage)]
+        protocols = [p for p in protocols if p.n_outcomes == protocols[0].n_outcomes]
+        batch = branch_liouvillians([p.tau1 for p in protocols], [p.tau2 for p in protocols],
+                                    np.stack([p.eta for p in protocols]),
+                                    np.stack([np.stack(p.stage.controller_ops(d)) for p in protocols]),
+                                    np.stack([noise_liouville(p.noise) for p in protocols]))
+        for p, L in zip(protocols, batch):
+            assert np.array_equal(L, p.L)
+
+
+def test_batched_build_checks_every_point():
+    p = mf_cooling(2, 0.5, 0.5)
+    ops, noise = np.stack(p.stage.controller_ops(2))[None], noise_liouville(p.noise)[None]
+    eta = np.stack([maximally_mixed(2)] * 2)
+    with pytest.raises(ValueError, match=r"tau2 must be in \[0,1\], got 1.5"):
+        branch_liouvillians([0.5, 0.5], [0.5, 1.5], eta, ops.repeat(2, 0), noise.repeat(2, 0))
+    with pytest.raises(ValueError, match="controller reset state has trace"):
+        branch_liouvillians([0.5, 0.5], [0.5, 0.5], eta * [[[1.0]], [[2.0]]], ops.repeat(2, 0), noise.repeat(2, 0))
+
+
+def test_batched_steady_states_flag_each_degenerate_point():
+    points = [cf(2, 1.0, 1.0, maximally_mixed(2)), mf_cooling(2, 0.5, 0.5), cf(2, 0.4, 0.7, dm(ket(2, 0)))]
+    states, second, degenerate = steady_states(np.stack([build_superoperator(p).matrix for p in points]), 2)
+    assert degenerate.tolist() == [True, False, False]
+    assert np.isnan(states[0]).all()
+    for p, rho, lam2 in zip(points[1:], states[1:], second[1:]):
+        rho_1, gap = steady_state(p)
+        assert np.array_equal(rho, rho_1) and gap == 1.0 - lam2
+    with pytest.raises(DegenerateSteadyStateError, match="second eigenvalue magnitude 1.000000000000"):
+        steady_state(points[0])
 
 
 def test_conditional_branch_eigenvalues_match_formulas():

@@ -188,3 +188,17 @@ def test_unitary_mapping_sends_source_to_target():
             assert max_abs(u.conj().T @ u - np.eye(d)) <= 1e-12
             got = u @ ket(d, 1)
             assert abs(abs(np.vdot(tgt, got)) - 1.0) <= 1e-12
+
+
+def test_weyl_operators_are_built_once_per_dimension_and_read_only():
+    from qfeedback.quantum import _weyl_ops
+
+    ops = _weyl_ops(3)
+    assert _weyl_ops(3) is ops and len(ops) == 9
+    assert not any(op.flags.writeable for op in ops)
+    with pytest.raises(ValueError):
+        ops[1][0, 0] = 0.0
+    # the channel scales copies, so the cached operators are untouched
+    ch = depolarizing_channel(3, 0.2)
+    assert all(k.flags.writeable for k in ch.kraus)
+    assert np.array_equal(_weyl_ops(3)[3], np.roll(np.eye(3), 1, axis=0))  # the shift, a=1 b=0
