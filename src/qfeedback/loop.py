@@ -143,12 +143,8 @@ class FeedbackProtocol:
             raise ValueError(f"d = {d} exceeds the limit d <= {MAX_DIM} (joint dimension d² <= {MAX_DIM ** 2})")
         if self.noise.dim != d:
             raise ValueError(f"noise channel dim {self.noise.dim} != {d}")
-        for name, t in (("tau1", self.tau1), ("tau2", self.tau2)):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {t}")
-        eta = check_density_matrix(self.eta, what="controller reset state")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "L", _branch_liouvillians(self, self.tau2))
+        object.__setattr__(self, "eta", check_density_matrix(self.eta, what="controller reset state"))
+        object.__setattr__(self, "L", _branch_liouvillians(self, self.tau2))  # checks tau1 and tau2
 
     @property
     def n_outcomes(self) -> int:
@@ -191,12 +187,7 @@ def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.
         outside = ~((0.0 <= t) & (t <= 1.0))
         if outside.any():
             raise ValueError(f"{name} must be in [0,1], got {t[outside][0]}")
-    return _stacked_liouvillians(tau1, tau2, check_density_matrix(eta, what="controller reset state"), ops, noise)
-
-
-def _stacked_liouvillians(tau1: np.ndarray, tau2: np.ndarray, eta: np.ndarray, ops: np.ndarray,
-                          noise: np.ndarray) -> np.ndarray:
-    """`branch_liouvillians` on inputs that are already checked."""
+    eta = check_density_matrix(eta, what="controller reset state")
     n_pts, n_j, d, _ = ops.shape
     e, f = np.linalg.eigh(eta)
     # a pure or rank-deficient reset state needs fewer Kraus terms: points are built by the support of η
@@ -223,8 +214,7 @@ def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:
     """Per-outcome Liouville matrices of the cycle of p with its second coupling
     at transmissivity `tau2` (p.tau2; 1 stops before the second coupling)."""
     ops = np.stack(p.stage.controller_ops(p.d))
-    return _stacked_liouvillians(np.array([p.tau1]), np.array([tau2]), p.eta[None], ops[None],
-                                 noise_liouville(p.noise)[None])[0]
+    return branch_liouvillians([p.tau1], [tau2], p.eta[None], ops[None], noise_liouville(p.noise)[None])[0]
 
 
 def _check_state(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
@@ -325,7 +315,7 @@ def steady_states(sops: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.
     point: it is degenerate, and its state is left NaN.
     """
     evals, evecs = np.linalg.eig(sops)
-    second = np.sort(np.abs(evals), axis=-1)[:, -2]
+    second = np.sort(np.abs(evals), axis=-1)[:, -2] if d > 1 else np.zeros(len(sops))  # d = 1: no λ₂
     degenerate = second > 1.0 - 1e-8
     states = np.full((len(sops), d, d), np.nan, dtype=complex)
     unique = np.flatnonzero(~degenerate)

@@ -13,13 +13,8 @@ import functools
 
 import numpy as np
 
-from .loop import build_superoperator, stack, unstack
+from .loop import Superoperator, build_superoperator
 from .quantum import check_density_matrix, pauli_x
-
-# A batched Haar average evaluates the output states of at most this many
-# inputs at a time (four protocols at 32x32 nodes), which keeps the memory of
-# a batch near that of a single protocol.
-HAAR_CHUNK_STATES = 4096
 
 
 def von_neumann_entropy(rho: np.ndarray, normalised: bool = False):
@@ -73,12 +68,12 @@ def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, int]:
     return psi, w, nodes
 
 
-def _bitflip_fidelities(sops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi and each qubit superoperator Φ
-    of the stack sops (P, 4, 4), with ψ_X = σ_x ψ: shape (P, len(psi))."""
-    outs = unstack(stack(np.einsum("na,nb->nab", psi, psi.conj())) @ np.swapaxes(sops, -1, -2), 2)
+def _bitflip_fidelities(sop: Superoperator, psi: np.ndarray) -> np.ndarray:
+    """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi, with ψ_X = σ_x ψ and Φ the
+    qubit cycle superoperator sop."""
+    outs = sop.apply(np.einsum("na,nb->nab", psi, psi.conj()))
     targets = psi @ pauli_x.T  # σ_x ψ, row-wise
-    return np.einsum("na,pnab,nb->pn", targets.conj(), outs, targets).real
+    return np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
 
 
 def _check_bitflip_protocol(d: int, noise) -> None:
@@ -88,28 +83,26 @@ def _check_bitflip_protocol(d: int, noise) -> None:
         raise ValueError("the bit-flip benchmark assumes identity noise")
 
 
-def haar_avg_bitflip_fidelities(sops: np.ndarray, nodes: int = 32) -> np.ndarray:
-    """Haar-averaged fidelity of the output of each qubit cycle superoperator
-    in the stack sops (P, 4, 4) to sigma_x |psi>.
+def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
+    """Haar-averaged fidelity of the output of one qubit cycle to sigma_x |psi>.
 
     (4π)^-1 ∬ <ψ_X|ρ_out(χ,φ)|ψ_X> sinχ dχ dφ over the pure-state sphere,
-    with ψ_X = σ_x ψ.
+    with ψ_X = σ_x ψ. p is a qubit protocol with identity noise (the bit-flip
+    benchmark is defined without system noise), or the Superoperator of the
+    cycle of one such protocol (a sweep point, whose noise the sweep checks).
     """
     if nodes < 4:
         raise ValueError(f"need at least 4 quadrature nodes per axis, got {nodes}")
+    if isinstance(p, Superoperator):
+        if p.d != 2:
+            raise ValueError("the bit-flip benchmark is qubit-only")
+        sop = p
+    else:
+        _check_bitflip_protocol(p.d, p.noise)
+        sop = build_superoperator(p)
     psi, w, n_phi = _bloch_states(nodes)
-    chunk = max(1, HAAR_CHUNK_STATES // len(psi))
-    fids = np.concatenate([_bitflip_fidelities(sops[i:i + chunk], psi) for i in range(0, len(sops), chunk)])
-    per_polar = fids.reshape(len(sops), nodes, n_phi).mean(axis=-1)  # exact trapezoid on the circle
-    return 0.5 * np.sum(w * per_polar, axis=-1)
-
-
-def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
-    """The Haar-averaged bit-flip fidelity of one protocol: a qubit protocol
-    with identity noise (the bit-flip benchmark is defined without system
-    noise). The one-protocol case of `haar_avg_bitflip_fidelities`."""
-    _check_bitflip_protocol(p.d, p.noise)
-    return float(haar_avg_bitflip_fidelities(build_superoperator(p).matrix[None], nodes)[0])
+    per_polar = _bitflip_fidelities(sop, psi).reshape(nodes, n_phi).mean(axis=1)  # exact trapezoid on the circle
+    return float(0.5 * np.sum(w * per_polar))
 
 
 def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
@@ -120,4 +113,4 @@ def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
     psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return float(_bitflip_fidelities(build_superoperator(p).matrix[None], psi)[0].mean())
+    return float(_bitflip_fidelities(build_superoperator(p), psi).mean())

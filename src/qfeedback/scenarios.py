@@ -29,6 +29,7 @@ from .loop import (
     FeedbackProtocol,
     PovmStage,
     ProjectiveStage,
+    Superoperator,
     all_to_target_stage,
     branch_liouvillians,
     degenerate_error,
@@ -36,7 +37,7 @@ from .loop import (
     steady_states,
     superoperators,
 )
-from .metrics import _check_bitflip_protocol, haar_avg_bitflip_fidelities, linear_entropy, purity, von_neumann_entropy
+from .metrics import _check_bitflip_protocol, haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
 from .quantum import (
     amplitude_damping_channel,
     controller_state,
@@ -352,24 +353,31 @@ def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[
     }
 
 
-def _block_columns(cfgs: list[dict]) -> tuple[dict[str, np.ndarray], list[DegenerateSteadyStateError | None]]:
+def _point_parts(cfg: dict, built: dict) -> tuple:
+    """η, the noise Liouville matrix and each protocol label's stacked
+    controller operators for one config, built once per distinct non-tau
+    configuration: `built` holds the parts already built, keyed by the rest
+    of the config."""
+    key = repr([(k, v) for k, v in cfg.items() if k not in ("tau", "tau1", "tau2")])
+    if key not in built:
+        scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
+        stages = _stages(cfg)
+        noise, eta = scenario.noise(cfg), _eta(cfg)
+        if scenario.kind == "bitflip":
+            _check_bitflip_protocol(d, noise)
+        built[key] = (eta, noise_liouville(noise),
+                      {label: np.stack(stage.controller_ops(d)) for label, stage in stages.items()})
+    return built[key]
+
+
+def _block_columns(cfgs: list[dict], built: dict) -> tuple[dict[str, np.ndarray],
+                                                           list[DegenerateSteadyStateError | None]]:
     """Simulated metric columns of a block of configs of one scenario and d,
     with each protocol label built and solved as one stack, and for every
     point its DegenerateSteadyStateError, or None where its steady states are
-    unique."""
+    unique. `built`: the parts of `_point_parts` built so far."""
     scenario, d = SCENARIOS[cfgs[0]["scenario"]], cfgs[0]["d"]
-    built: dict[str, tuple] = {}  # noise, η and stages: built once per distinct non-tau configuration
-    parts = []
-    for cfg in cfgs:
-        key = repr([(k, v) for k, v in cfg.items() if k not in ("tau", "tau1", "tau2")])
-        if key not in built:
-            stages = _stages(cfg)
-            noise, eta = scenario.noise(cfg), _eta(cfg)
-            if scenario.kind == "bitflip":
-                _check_bitflip_protocol(d, noise)
-            built[key] = (eta, noise_liouville(noise),
-                          {label: np.stack(stage.controller_ops(d)) for label, stage in stages.items()})
-        parts.append(built[key])
+    parts = [_point_parts(cfg, built) for cfg in cfgs]
     tau1, tau2 = [cfg["tau1"] for cfg in cfgs], [cfg["tau2"] for cfg in cfgs]
     eta, noise = np.stack([part[0] for part in parts]), np.stack([part[1] for part in parts])
     columns: dict[str, np.ndarray] = {}
@@ -378,7 +386,7 @@ def _block_columns(cfgs: list[dict]) -> tuple[dict[str, np.ndarray], list[Degene
         ops = np.stack([part[2][label] for part in parts])
         sops = superoperators(branch_liouvillians(tau1, tau2, eta, ops, noise), d)
         if scenario.kind == "bitflip":  # the figure of merit is the Haar-averaged fidelity, not a steady state
-            columns["haar_fidelity"] = haar_avg_bitflip_fidelities(sops)
+            columns["haar_fidelity"] = np.array([haar_avg_bitflip_fidelity(Superoperator(d, m)) for m in sops])
             continue
         states, second, degenerate = steady_states(sops, d)
         unique = np.flatnonzero(~degenerate)
@@ -397,12 +405,13 @@ def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadySta
     MAX_BLOCK_BYTES. A point whose steady state is degenerate gets its
     DegenerateSteadyStateError in place of a row."""
     d = cfgs[0]["d"]
-    n_outcomes = max(len(stage.controller_ops(d)) for stage in _stages(cfgs[0]).values())
+    built: dict = {}  # the first point's parts size the blocks, and the first block reuses them
+    n_outcomes = max(len(ops) for ops in _point_parts(cfgs[0], built)[2].values())
     size = max(1, MAX_BLOCK_BYTES // (16 * n_outcomes * d ** 4))
     rows = []
     for start in range(0, len(cfgs), size):
         block = cfgs[start:start + size]
-        columns, errors = _block_columns(block)
+        columns, errors = _block_columns(block, built if start == 0 else {})
         rows += [error or _with_oracle(cfg, {key: float(column[i]) for key, column in columns.items()})
                  for i, (cfg, error) in enumerate(zip(block, errors))]
     return rows

@@ -385,6 +385,21 @@ def test_sweep_rows_equal_pointwise_metric_rows(monkeypatch, config, axes, block
             assert row == metric_row(point_cfg)  # exact, cell by cell
 
 
+def test_sweep_takes_one_haar_average_per_bitflip_point(monkeypatch, capsys):
+    from qfeedback import scenarios
+
+    calls = []
+
+    def counted(p, nodes=32):
+        calls.append(nodes)
+        return haar_avg_bitflip_fidelity(p, nodes)
+
+    haar_avg_bitflip_fidelity = scenarios.haar_avg_bitflip_fidelity
+    monkeypatch.setattr(scenarios, "haar_avg_bitflip_fidelity", counted)
+    assert cli.main(["sweep", "--scenario", "bitflip-povm", "--sweep", "a=0:1:3", "--sweep", "b=0:1:2"]) == 0
+    assert calls == [32] * 6 and len(capsys.readouterr().out.splitlines()) == 1 + 6
+
+
 def test_degenerate_sweep_points_are_named_and_the_other_rows_written(capsys, tmp_path):
     # lambda = 1 and tau = 1 make the cycle the identity map: the point tau=1 has no unique steady state
     argv = ["sweep", "--scenario", "mf-noisy-cooling", "--lambda", "1"]

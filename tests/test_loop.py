@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -383,6 +384,21 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         FeedbackProtocol(3, depolarizing_channel(2, 0.5), 0.5, 0.5,
                          maximally_mixed(3), CoherentStage(np.eye(3)))
+
+
+@pytest.mark.parametrize("tau1,tau2,message", [(1.2, 0.5, "tau1 must be in [0,1], got 1.2"),
+                                                (0.5, -0.1, "tau2 must be in [0,1], got -0.1")],
+                         ids=["tau1", "tau2"])
+def test_protocol_names_the_coupling_outside_the_unit_interval(tau1, tau2, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeedbackProtocol(2, depolarizing_channel(2, 0.5), tau1, tau2, maximally_mixed(2), CoherentStage(np.eye(2)))
+
+
+def test_one_dimensional_protocol_has_a_unique_steady_state():
+    # d = 1: the cycle superoperator is the 1x1 identity, its only eigenvalue is 1 and the gap is 1
+    p = FeedbackProtocol(1, identity_channel(1), 0.5, 0.5, np.eye(1), CoherentStage(np.eye(1)))
+    rho, gap = steady_state(p)
+    assert rho.shape == (1, 1) and rho[0, 0] == 1.0 and gap == 1.0
 
 
 def reference_branch_maps(p, tau2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfeedback.loop import CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage
+from qfeedback.loop import CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage, Superoperator, build_superoperator
 from qfeedback.metrics import (
     _bloch_states,
     fidelity_to_pure,
@@ -86,6 +86,14 @@ def test_haar_avg_requires_identity_noise():
                          maximally_mixed(2), CoherentStage(pauli_x))
     with pytest.raises(ValueError):
         haar_avg_bitflip_fidelity(p)
+
+
+def test_haar_avg_of_a_cycle_superoperator_equals_that_of_its_protocol():
+    p = FeedbackProtocol(2, identity_channel(2), 0.4, 0.4, maximally_mixed(2),
+                         PovmStage(kraus=bitflip_povm_kraus(0.3, 0.8)))
+    assert haar_avg_bitflip_fidelity(build_superoperator(p)) == haar_avg_bitflip_fidelity(p)
+    with pytest.raises(ValueError, match="qubit-only"):
+        haar_avg_bitflip_fidelity(Superoperator(3, np.eye(9)))
 
 
 def test_haar_avg_invariant_under_x_rotation_conjugation():
