@@ -33,8 +33,7 @@ import numpy as np
 from . import __version__
 from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
 from .quantum import maximally_mixed
-from .scenarios import (SCENARIOS, ConfigError, _validate_resolved, build_protocols, metric_row, metric_rows,
-                        resolve_config)
+from .scenarios import SCENARIOS, ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -176,28 +175,18 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     return name, values
 
 
-def _point_config(cfg: dict, axes: list, values: tuple) -> dict:
-    """The config at one sweep point, range-checked like any resolved config."""
-    out = dict(cfg)
-    for (name, _), value in zip(axes, values):
-        out[name] = float(value)
-        if name == "tau":
-            out["tau1"] = out["tau2"] = float(value)
-        if name == "eta0":
-            out["eta"] = {"eta0": float(value)}
-    _validate_resolved(out)
-    return out
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolved(args)
     axes = [_parse_axis(s) for s in (args.sweep or [])]
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 --sweep axes, got {len(axes)}")
     names = [name for name, _ in axes]
+    if len(set(names)) < len(names) or ("tau" in names and {"tau1", "tau2"} & set(names)):
+        raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice (tau sets tau1 and tau2)")
     points = list(itertools.product(*(values for _, values in axes)))
 
-    point_cfgs = [_point_config(cfg, axes, values) for values in points]  # all checked before any row is computed
+    # every point is resolved like any config, and checked before any row is computed
+    point_cfgs = [resolve_config(cfg, dict(zip(names, map(float, values)))) for values in points]
     rows, degenerate = [], []
     for values, row in zip(points, metric_rows(point_cfgs)):
         if isinstance(row, DegenerateSteadyStateError):

@@ -96,10 +96,13 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
 
 def _validate_resolved(cfg: dict) -> None:
     try:
-        d = int(cfg["d"])
+        for key in ("d", "seed", "steps", "ntraj", "threads"):
+            if isinstance(cfg[key], float) and not cfg[key].is_integer():  # int() would truncate it
+                raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+            cfg[key] = int(cfg[key])
+        d = cfg["d"]
         if not 2 <= d <= MAX_DIM:
             raise ConfigError(f"d must be in [2, {MAX_DIM}] (joint dimension d² <= {MAX_DIM ** 2}), got {d}")
-        cfg["d"] = d
         for key in ("tau", "tau1", "tau2", "lambda", "gamma", "eta0", "a", "b"):
             x = float(cfg[key]) if key in cfg else 0.0
             if key in cfg and not 0.0 <= x <= 1.0:
@@ -107,12 +110,12 @@ def _validate_resolved(cfg: dict) -> None:
             cfg[key] = x
         for key in ("chi", "phi1"):
             cfg[key] = float(cfg[key])
+            if not math.isfinite(cfg[key]):
+                raise ConfigError(f"{key} must be finite, got {cfg[key]}")
         eta = cfg.get("eta")
         if isinstance(eta, dict) and "eta0" in eta and not (d == 2 and 0.0 <= float(eta["eta0"]) <= 1.0):
             raise ConfigError(f"eta0 sets the qubit controller state diag(eta0, 1-eta0) and needs d=2 "
                               f"and eta0 in [0,1], got d={d}, eta0={eta['eta0']}")
-        for key in ("seed", "steps", "ntraj", "threads"):
-            cfg[key] = int(cfg[key])
         if cfg["steps"] < 1 or cfg["ntraj"] < 1:
             raise ConfigError("steps and ntraj must be at least 1")
         if cfg["threads"] < 0:

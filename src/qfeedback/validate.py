@@ -1,7 +1,9 @@
 """Self-contained verification suite: every closed-form result is recomputed
 through the simulator pipeline and compared at the tolerances the package
 promises. `run_all` powers the `validate` CLI command; the test suite asserts
-on the same results.
+on the same results. Checks whose protocols are scenarios read both the
+simulated and the oracle value from the scenario table's metric rows
+(`scenarios.metric_rows`), the rows `qfeedback sweep` writes.
 
 Checks are grouped by the claim they verify; each returns CheckResult rows
 with a pass flag and a human-readable detail string (worst deviation, fitted
@@ -16,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .loop import (CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage, all_to_target_stage, conditional_branches,
-                   cycle_unconditional, iterate_to_fixed_point, sample_ensemble, steady_state)
-from .metrics import haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
+from .loop import (CoherentStage, DegenerateSteadyStateError, FeedbackProtocol, PovmStage, ProjectiveStage,
+                   all_to_target_stage, conditional_branches, cycle_unconditional, iterate_to_fixed_point,
+                   sample_ensemble, steady_state)
+from .metrics import purity, von_neumann_entropy
 from .quantum import (depolarizing_channel, dm, identity_channel, ket, maximally_mixed, random_density_matrix,
                       random_kraus_channel, random_unitary, unitary_mapping)
-from .scenarios import build_protocols, resolve_config
+from .scenarios import ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 from .weaklimit import effective_hamiltonian, first_order_defect, lie_closure_dim
 
 ORACLE_TOL = 1e-9
@@ -45,6 +48,22 @@ def _scenario(config: dict) -> dict[str, FeedbackProtocol]:
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(rho))[::-1]
+
+
+def _rows(configs: list[dict]) -> list[dict[str, float]]:
+    """The metric rows of scenario points, computed as a sweep computes them: one
+    `metric_rows` batch. A degenerate point raises, so its check fails."""
+    rows = metric_rows([resolve_config(config) for config in configs])
+    for row in rows:
+        if isinstance(row, DegenerateSteadyStateError):
+            raise row
+    return rows
+
+
+def _worst(rows: list[dict[str, float]], *pairs: tuple[str, str]) -> float:
+    """The largest |simulated - oracle| over the rows, for (simulated, oracle) column pairs;
+    a row without one of the columns raises KeyError, so its check fails."""
+    return float(np.max([abs(row[sim] - row[oracle]) for row in rows for sim, oracle in pairs]))
 
 
 # --- criterion 1: oracle equivalence grids -------------------------------
@@ -73,32 +92,22 @@ def check_oracle_cf_clean(points: int = 100, seed: int = 101) -> CheckResult:
     return _result("oracle-grid[cf_clean_steady]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
+_ENTROPY_PAIRS = (("mf_entropy_linear", "oracle_s_mf"), ("cf_entropy_linear", "oracle_s_cf"))
+
+
 def check_oracle_clean_entropies(points: int = 100, seed: int = 102) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(points):
-        tau, lam = rng.uniform(0.03, 0.97, 2)
-        s_mf_o, s_cf_o = oracles.clean_qubit_entropies(tau, lam)
-        s_mf, s_cf = _entropies({"scenario": "clean-cooling-compare", "tau": tau, "lambda": lam})
-        worst = max(worst, abs(s_mf - s_mf_o), abs(s_cf - s_cf_o))
+    configs = [{"scenario": "clean-cooling-compare", "tau": tau, "lambda": lam}
+               for tau, lam in (rng.uniform(0.03, 0.97, 2) for _ in range(points))]
+    worst = _worst(_rows(configs), *_ENTROPY_PAIRS)
     return _result("oracle-grid[clean_qubit_entropies]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
-
-
-def _entropies(config: dict) -> tuple[float, float]:
-    """Steady linear entropies (S_MF, S_CF) of a comparison scenario."""
-    protos = _scenario(config)
-    return linear_entropy(steady_state(protos["mf"])[0]), linear_entropy(steady_state(protos["cf"])[0])
 
 
 def check_oracle_eta_entropies(points: int = 100, seed: int = 103) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(points):
-        tau, lam = rng.uniform(0.03, 0.97, 2)
-        eta0 = rng.uniform(0.0, 1.0)
-        s_mf_o, s_cf_o = oracles.eta_entropies(tau, lam, eta0)
-        s_mf, s_cf = _entropies({"scenario": "eta-cooling-compare", "tau": tau, "lambda": lam, "eta": {"eta0": eta0}})
-        worst = max(worst, abs(s_mf - s_mf_o), abs(s_cf - s_cf_o))
+    configs = [{"scenario": "eta-cooling-compare", "tau": tau, "lambda": lam, "eta": {"eta0": rng.uniform(0.0, 1.0)}}
+               for tau, lam in (rng.uniform(0.03, 0.97, 2) for _ in range(points))]
+    worst = _worst(_rows(configs), *_ENTROPY_PAIRS)
     return _result("oracle-grid[eta_entropies]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
@@ -135,30 +144,29 @@ def check_oracle_cf_general(points: int = 100, seed: int = 104) -> CheckResult:
     return _result("oracle-grid[cf_clean_general_qubit]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
-def _ad_occupations(tau: float, gamma: float) -> list[float]:
-    """Steady rho11 of the chi=0 and chi=pi/2 coherent loops and of measure-and-repump."""
-    protos = _scenario({"scenario": "ad-compare", "tau": tau, "gamma": gamma})
-    return [steady_state(protos[label])[0][1, 1].real for label in ("cf_chi0", "cf_chipi2", "mf")]
+# steady rho11 of the chi=0 and chi=pi/2 coherent loops and of measure-and-repump, against their oracles
+_AD_PAIRS = (("cf_chi0_rho11", "oracle_rho11_chi0"), ("cf_chipi2_rho11", "oracle_rho11_chipi2"),
+             ("mf_rho11", "oracle_rho11_mf"))
 
 
 def check_oracle_ad(points: int = 100, seed: int = 105) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    configs = [{"scenario": "ad-compare", "tau": tau, "gamma": gamma}
+               for tau, gamma in (rng.uniform(0.03, 0.97, 2) for _ in range(points))]
+    rows = _rows(configs)
+    worst = _worst(rows, *_AD_PAIRS)
     bool_ok = True
-    for _ in range(points):
-        tau, gamma = rng.uniform(0.03, 0.97, 2)
-        orc = oracles.ad_occupations(tau, gamma)
-        sims = _ad_occupations(tau, gamma)
-        worst = max(worst, float(np.max(np.abs(np.array(sims) - np.array(orc[:3])))))
-        if abs(max(sims[0], sims[1]) - sims[2]) > 1e-7:
-            bool_ok &= (max(sims[0], sims[1]) > sims[2]) == orc[4]
+    for config, row in zip(configs, rows):
+        if abs(max(row["cf_chi0_rho11"], row["cf_chipi2_rho11"]) - row["mf_rho11"]) > 1e-7:
+            # the oracle's own verdict, which the row does not carry
+            bool_ok &= bool(row["cf_beats_mf"]) == oracles.ad_occupations(config["tau"], config["gamma"])[4]
     ok = worst < ORACLE_TOL and bool_ok
     return _result("oracle-grid[ad_occupations]", ok, f"worst |sim-oracle| = {worst:.2e}, cf_beats_mf consistent: {bool_ok}")
 
 
 def check_oracle_bitflip(points: int = 100, seed: int = 106) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    configs = []
     for i in range(points):
         tau = rng.uniform(0.0, 1.0)
         if i % 3 == 0:
@@ -167,8 +175,8 @@ def check_oracle_bitflip(points: int = 100, seed: int = 106) -> CheckResult:
             a, b = 1.0, 0.0                      # projective measurement
         else:
             a, b = rng.uniform(0.0, 1.0, 2)
-        avg = haar_avg_bitflip_fidelity(_scenario({"scenario": "bitflip-povm", "tau": tau, "a": a, "b": b})["mf"])
-        worst = max(worst, abs(avg - oracles.bitflip_fidelity(tau, a, b)))
+        configs.append({"scenario": "bitflip-povm", "tau": tau, "a": a, "b": b})
+    worst = _worst(_rows(configs), ("haar_fidelity", "oracle_fidelity"))
     return _result("oracle-grid[bitflip_fidelity]", worst < ORACLE_TOL, f"worst |quad-oracle| = {worst:.2e}")
 
 
@@ -261,8 +269,8 @@ def check_cf_no_cooling(protocols: int = 500, seed: int = 300) -> CheckResult:
 # --- criterion 4: clean-controller crossover at tau = 1/3 ------------------
 
 def _entropy_gap_clean(tau: float, lam: float) -> float:
-    s_mf, s_cf = _entropies({"scenario": "clean-cooling-compare", "tau": tau, "lambda": lam})
-    return s_mf - s_cf
+    cfg = resolve_config({"scenario": "clean-cooling-compare", "tau": tau, "lambda": lam})
+    return metric_row(cfg)["s_mf_minus_s_cf"]
 
 
 def check_crossover(lams=(0.1, 0.5, 0.9)) -> CheckResult:
@@ -310,16 +318,13 @@ def check_purity_dichotomy(grid: int = 30, lams=(0.05, 0.5, 0.95)) -> CheckResul
 def check_ad_grid(grid: int = 20) -> CheckResult:
     taus = np.linspace(0.03, 0.97, grid)
     gammas = np.linspace(0.03, 0.97, grid)
-    worst = 0.0
+    rows = _rows([{"scenario": "ad-compare", "tau": tau, "gamma": gamma} for gamma in gammas for tau in taus])
+    worst = _worst(rows, *_AD_PAIRS)
     boundary_ok = True
-    for gamma in gammas:
-        signs = []
-        tstar = oracles.ad_occupations(0.5, gamma)[3]
-        for tau in taus:
-            orc = oracles.ad_occupations(tau, gamma)
-            sims = _ad_occupations(tau, gamma)
-            worst = max(worst, float(np.max(np.abs(np.array(sims) - np.array(orc[:3])))))
-            signs.append(max(sims[0], sims[1]) > sims[2])
+    for k in range(grid):
+        line = rows[k * grid:(k + 1) * grid]  # one gamma, tau ascending
+        signs = [bool(row["cf_beats_mf"]) for row in line]
+        tstar = line[0]["oracle_cf_crossover_tau"]
         # boundary of the CF>MF region matches the threshold within one cell
         flips = [i for i in range(1, grid) if signs[i] != signs[i - 1]]
         step = taus[1] - taus[0]
@@ -336,20 +341,12 @@ def check_ad_grid(grid: int = 20) -> CheckResult:
 # --- criterion 7: bit-flip fidelities --------------------------------------
 
 def check_bitflip_surface(grid: int = 21) -> CheckResult:
-    worst = 0.0
-    for tau in np.linspace(0.0, 1.0, 9):
-        p_cf = _scenario({"scenario": "bitflip-cf", "tau": tau})["cf"]
-        p_mf = _scenario({"scenario": "bitflip-mf", "tau": tau})["mf"]
-        cf_line, mf_line = oracles.bitflip_line_fidelities(tau)
-        worst = max(worst, abs(haar_avg_bitflip_fidelity(p_cf) - cf_line), abs(haar_avg_bitflip_fidelity(p_mf) - mf_line))
-    tau = 0.5
-    vals = np.zeros((grid, grid))
+    cf_line, mf_line = (_rows([{"scenario": name, "tau": tau} for tau in np.linspace(0.0, 1.0, 9)])
+                        for name in ("bitflip-cf", "bitflip-mf"))
     axis = np.linspace(0.0, 1.0, grid)
-    for i, a in enumerate(axis):
-        for j, b in enumerate(axis):
-            p = _scenario({"scenario": "bitflip-povm", "tau": tau, "a": a, "b": b})["mf"]
-            vals[i, j] = haar_avg_bitflip_fidelity(p)
-            worst = max(worst, abs(vals[i, j] - oracles.bitflip_fidelity(tau, a, b)))
+    surface = _rows([{"scenario": "bitflip-povm", "tau": 0.5, "a": a, "b": b} for a in axis for b in axis])
+    worst = _worst(cf_line + mf_line + surface, ("haar_fidelity", "oracle_fidelity"))
+    vals = np.array([row["haar_fidelity"] for row in surface]).reshape(grid, grid)
     off = ~np.eye(grid, dtype=bool)
     argmax_on_diag = np.max(vals[off]) < np.max(np.diag(vals)) - 1e-6
     ok = worst < ORACLE_TOL and argmax_on_diag
@@ -473,6 +470,8 @@ CHECK_GROUPS: list[tuple[str, object]] = [
 
 def run_all(points: int = 100, only: str | None = None) -> list[CheckResult]:
     """Run every check (or the groups whose name contains `only`)."""
+    if points < 1:
+        raise ConfigError(f"points per oracle grid must be at least 1, got {points}")
     groups = CHECK_GROUPS
     if only is not None:
         groups = [(name, fn) for name, fn in CHECK_GROUPS if only in name]

@@ -177,6 +177,39 @@ def test_eta0_out_of_range_exits_2(tmp_path):
     assert "eta0 in [0,1]" in r.stderr
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["--scenario", "cf-clean", "--chi", "nan"], None, "chi must be finite, got nan"),
+    (["--scenario", "ad-cf", "--chi", "inf"], None, "chi must be finite, got inf"),
+    (["--scenario", "cf-clean", "--phi1", "nan"], None, "phi1 must be finite, got nan"),
+    ([], {"scenario": "cf-clean", "chi": float("nan")}, "chi must be finite, got nan"),
+    ([], {"scenario": "ad-cf", "phi1": float("-inf")}, "phi1 must be finite, got -inf"),
+], ids=["chi-nan-flag", "chi-inf-flag", "phi1-nan-flag", "chi-nan-config", "phi1-inf-config"])
+def test_non_finite_angle_exits_2(capsys, tmp_path, argv, config, message):
+    if config is not None:  # json writes NaN and -Infinity, and reads them back
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(["steady", *argv]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("d", 2.7), ("steps", 10.9), ("seed", 1.5), ("ntraj", 2.5), ("threads", 1.5),
+                                       ("d", float("inf"))])
+def test_fractional_integer_setting_exits_2(capsys, tmp_path, key, value):
+    # int() would truncate: d=2.7 ran at d=2
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "mf-noisy-cooling", key: value}))
+    assert cli.main(["steady", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert f"config error: {key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_whole_number_floats_are_integer_settings(capsys, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "mf-noisy-cooling", "d": 3.0, "steps": 10.0,
+                                                   "seed": 1.0, "ntraj": 2.0, "threads": 1.0}))
+    assert cli.main(["steady", "--config", str(tmp_path / "cfg.json")]) == 0
+    resolved = json.loads(capsys.readouterr().out.split("resolved config: ")[1])
+    assert {k: resolved[k] for k in ("d", "steps", "seed", "ntraj", "threads")} == {
+        "d": 3, "steps": 10, "seed": 1, "ntraj": 2, "threads": 1}
+
+
 def test_trajectories_require_mf_scenario():
     r = run_cli("trajectories", "--scenario", "cf-clean")
     assert r.returncode == 2
@@ -246,7 +279,14 @@ def test_sweep_rejects_unknown_axis():
     (["--scenario", "bitflip-povm", "--sweep", "a=0:2:3"], "a must be in [0,1], got 2.0"),
     (["--scenario", "bitflip-povm", "--sweep", "a=0:1:2", "--sweep", "b=0.5:1.5:2"], "b must be in [0,1], got 1.5"),
     (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0:1:0"], "needs at least one point"),
-], ids=["eta0", "tau", "eta0-qudit", "a", "b", "no-points"])
+    (["--scenario", "cf-clean", "--sweep", "chi=0:nan:3"], "chi must be finite, got nan"),
+    (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0.1:0.9:3", "--sweep", "tau=0.2:0.8:2"],
+     "sweep axes tau, tau set one parameter twice"),
+    (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0.1:0.9:3", "--sweep", "tau1=0.2:0.8:2"],
+     "sweep axes tau, tau1 set one parameter twice (tau sets tau1 and tau2)"),
+    (["--scenario", "mf-noisy-cooling", "--sweep", "tau2=0.1:0.9:3", "--sweep", "tau=0.2:0.8:2"],
+     "sweep axes tau2, tau set one parameter twice"),
+], ids=["eta0", "tau", "eta0-qudit", "a", "b", "no-points", "chi-nan", "repeated-axis", "tau-and-tau1", "tau2-and-tau"])
 def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, limit):
     # every point is checked before the first row is computed
     monkeypatch.setattr(cli, "metric_rows", lambda cfgs: pytest.fail("a row was computed"))
@@ -374,7 +414,9 @@ def test_sweep_rows_equal_pointwise_metric_rows(monkeypatch, config, axes, block
         monkeypatch.setattr(scenarios, "MAX_BLOCK_BYTES", 3 * 16 * 2 * 2 ** 4)
     cfg = resolve_config(config)
     parsed = [cli._parse_axis(spec) for spec in axes]
-    cfgs = [cli._point_config(cfg, parsed, values) for values in itertools.product(*(v for _, v in parsed))]
+    names = [name for name, _ in parsed]
+    cfgs = [resolve_config(cfg, dict(zip(names, map(float, values))))
+            for values in itertools.product(*(v for _, v in parsed))]
     rows = scenarios.metric_rows(cfgs)
     assert len(rows) == len(cfgs)
     for point_cfg, row in zip(cfgs, rows):
@@ -427,6 +469,14 @@ def test_validate_single_check_passes():
     assert r.returncode == 0
     assert "PASS" in r.stdout
     assert "steady-spot-value" in r.stdout
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_validate_points_below_one_exits_2(capsys, points):
+    # a grid of no points checks nothing, and would pass
+    assert cli.main(["validate", "--only", "oracle", "--points", points]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"config error: points per oracle grid must be at least 1, got {points}" in err
 
 
 def test_validate_unknown_filter_exits_2():
