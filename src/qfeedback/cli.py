@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
 from .quantum import maximally_mixed
-from .scenarios import SCENARIOS, ConfigError, build_protocols, metric_row, metric_rows, resolve_config
+from .scenarios import PARAMETERS, SCENARIOS, ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,18 +82,9 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-_OVERRIDE_KEYS = ("scenario", "d", "tau", "tau1", "tau2", "gamma", "eta0", "chi",
-                  "phi1", "a", "b", "seed", "steps", "ntraj", "threads")
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    ov = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-    ov["lambda"] = getattr(args, "lam", None)
-    return ov
-
-
 def _resolved(args: argparse.Namespace) -> dict:
-    return resolve_config(_load_config(args.config), _overrides(args))
+    overrides = {p.name: getattr(args, p.name) for p in PARAMETERS}
+    return resolve_config(_load_config(args.config), overrides | {"scenario": args.scenario})
 
 
 def _threads(cfg: dict) -> int:
@@ -167,7 +158,7 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     except ValueError as exc:
         raise ConfigError(f"bad sweep axis {spec!r}; expected name=lo:hi:count") from exc
     name = name.strip()
-    allowed = {"tau", "tau1", "tau2", "lambda", "gamma", "eta0", "chi", "phi1", "a", "b"}
+    allowed = [p.name for p in PARAMETERS if p.type is float]
     if name not in allowed:
         raise ConfigError(f"cannot sweep {name!r}; allowed: {sorted(allowed)}")
     if values.size == 0:
@@ -181,8 +172,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 --sweep axes, got {len(axes)}")
     names = [name for name, _ in axes]
-    if len(set(names)) < len(names) or ("tau" in names and {"tau1", "tau2"} & set(names)):
-        raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice (tau sets tau1 and tau2)")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice")
     points = list(itertools.product(*(values for _, values in axes)))
 
     # every point is resolved like any config, and checked before any row is computed
@@ -227,21 +218,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--scenario", help="scenario name (overrides config)")
-    sp.add_argument("--d", type=int, help="system/controller dimension")
-    sp.add_argument("--tau", type=float, help="transmissivity of both couplings")
-    sp.add_argument("--tau1", type=float, help="transmissivity of the first coupling")
-    sp.add_argument("--tau2", type=float, help="transmissivity of the second coupling")
-    sp.add_argument("--lambda", dest="lam", type=float, help="depolarising parameter (1 = no noise)")
-    sp.add_argument("--gamma", type=float, help="amplitude-damping strength")
-    sp.add_argument("--eta0", type=float, help="controller |0> population (qubit family)")
-    sp.add_argument("--chi", type=float, help="in-loop rotation angle")
-    sp.add_argument("--phi1", type=float, help="in-loop unitary phase")
-    sp.add_argument("--a", type=float, help="POVM diagonal element a")
-    sp.add_argument("--b", type=float, help="POVM diagonal element b")
-    sp.add_argument("--seed", type=int, help="RNG seed")
-    sp.add_argument("--steps", type=int, help="cycles per trajectory")
-    sp.add_argument("--ntraj", type=int, help="number of trajectories")
-    sp.add_argument("--threads", type=int, help="worker pool size (0 = hardware)")
+    for p in PARAMETERS:
+        sp.add_argument(f"--{p.name}", type=p.type, help=p.help)
     sp.add_argument("--out", help="output CSV path (writes a .meta.json sidecar)")
 
 

@@ -53,25 +53,40 @@ class ConfigError(ValueError):
     """Invalid configuration (unknown scenario, bad parameter, bad axis)."""
 
 
-GLOBAL_DEFAULTS = {
-    "d": 2,
-    "tau": 0.5,
-    "lambda": 0.5,
-    "gamma": 0.2,
-    "eta0": 0.5,
-    "chi": 0.0,
-    "phi1": 0.0,
-    "a": 0.5,
-    "b": 0.5,
-    "seed": 0,
-    "steps": 100,
-    "ntraj": 100,
-    "threads": 0,  # 0 = hardware parallelism
-}
+class Parameter(NamedTuple):
+    """One config parameter: a config key, a command-line flag and, for a float, a sweep axis."""
+
+    name: str
+    type: type                    # int or float
+    default: int | float | None   # None: tau1 and tau2 follow tau
+    low: float                    # the closed range [low, high]; a float must also be finite
+    high: float
+    help: str
+
+
+PARAMETERS = (
+    Parameter("d", int, 2, 2, MAX_DIM, "system/controller dimension"),
+    Parameter("tau", float, 0.5, 0.0, 1.0, "transmissivity of both couplings"),
+    Parameter("tau1", float, None, 0.0, 1.0, "transmissivity of the first coupling"),
+    Parameter("tau2", float, None, 0.0, 1.0, "transmissivity of the second coupling"),
+    Parameter("lambda", float, 0.5, 0.0, 1.0, "depolarising parameter (1 = no noise)"),
+    Parameter("gamma", float, 0.2, 0.0, 1.0, "amplitude-damping strength"),
+    Parameter("eta0", float, 0.5, 0.0, 1.0, "controller |0> population (qubit family)"),
+    Parameter("chi", float, 0.0, -math.inf, math.inf, "in-loop rotation angle"),
+    Parameter("phi1", float, 0.0, -math.inf, math.inf, "in-loop unitary phase"),
+    Parameter("a", float, 0.5, 0.0, 1.0, "POVM diagonal element a"),
+    Parameter("b", float, 0.5, 0.0, 1.0, "POVM diagonal element b"),
+    Parameter("seed", int, 0, -math.inf, math.inf, "RNG seed"),
+    Parameter("steps", int, 100, 1, math.inf, "cycles per trajectory"),
+    Parameter("ntraj", int, 100, 1, math.inf, "number of trajectories"),
+    Parameter("threads", int, 0, 0, math.inf, "worker pool size (0 = hardware)"),
+)
 
 
 def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
-    """Merge defaults, a config document and overrides (highest precedence)."""
+    """Merge the parameter defaults, the scenario's defaults, a config document
+    and overrides (highest precedence). `tau` sets `tau1` and `tau2`: an
+    overriding `tau` replaces both, so it cannot come with either of them."""
     config = dict(config or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     name = overrides.get("scenario", config.get("scenario"))
@@ -79,7 +94,10 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
         raise ConfigError("no scenario given (set 'scenario' in the config or pass --scenario)")
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    cfg = dict(GLOBAL_DEFAULTS)
+    both = [k for k in ("tau1", "tau2") if "tau" in overrides and k in overrides]
+    if both:
+        raise ConfigError(f"cannot set tau together with {' and '.join(both)} (tau sets tau1 and tau2)")
+    cfg = {p.name: p.default for p in PARAMETERS if p.default is not None}
     cfg.update(SCENARIOS[name].defaults)
     cfg.update(config)
     cfg.update(overrides)
@@ -94,32 +112,25 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+def _range_text(p: Parameter) -> str:
+    if p.high == math.inf:
+        return "finite" if p.low == -math.inf else f"at least {p.low:g}"
+    return f"in [{p.low:g},{p.high:g}]"
+
+
 def _validate_resolved(cfg: dict) -> None:
     try:
-        for key in ("d", "seed", "steps", "ntraj", "threads"):
-            if isinstance(cfg[key], float) and not cfg[key].is_integer():  # int() would truncate it
-                raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-            cfg[key] = int(cfg[key])
-        d = cfg["d"]
-        if not 2 <= d <= MAX_DIM:
-            raise ConfigError(f"d must be in [2, {MAX_DIM}] (joint dimension d² <= {MAX_DIM ** 2}), got {d}")
-        for key in ("tau", "tau1", "tau2", "lambda", "gamma", "eta0", "a", "b"):
-            x = float(cfg[key]) if key in cfg else 0.0
-            if key in cfg and not 0.0 <= x <= 1.0:
-                raise ConfigError(f"{key} must be in [0,1], got {x}")
-            cfg[key] = x
-        for key in ("chi", "phi1"):
-            cfg[key] = float(cfg[key])
-            if not math.isfinite(cfg[key]):
-                raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+        for p in PARAMETERS:
+            x = cfg[p.name]
+            if p.type is int and isinstance(x, float) and not x.is_integer():  # int() would truncate it
+                raise ConfigError(f"{p.name} must be an integer, got {x!r}")
+            x = cfg[p.name] = p.type(x)
+            if not (p.low <= x <= p.high and (p.type is int or math.isfinite(x))):
+                raise ConfigError(f"{p.name} must be {_range_text(p)}, got {x}")
         eta = cfg.get("eta")
-        if isinstance(eta, dict) and "eta0" in eta and not (d == 2 and 0.0 <= float(eta["eta0"]) <= 1.0):
+        if isinstance(eta, dict) and "eta0" in eta and not (cfg["d"] == 2 and 0.0 <= float(eta["eta0"]) <= 1.0):
             raise ConfigError(f"eta0 sets the qubit controller state diag(eta0, 1-eta0) and needs d=2 "
-                              f"and eta0 in [0,1], got d={d}, eta0={eta['eta0']}")
-        if cfg["steps"] < 1 or cfg["ntraj"] < 1:
-            raise ConfigError("steps and ntraj must be at least 1")
-        if cfg["threads"] < 0:
-            raise ConfigError("threads must be non-negative")
+                              f"and eta0 in [0,1], got d={cfg['d']}, eta0={eta['eta0']}")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

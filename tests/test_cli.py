@@ -283,9 +283,9 @@ def test_sweep_rejects_unknown_axis():
     (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0.1:0.9:3", "--sweep", "tau=0.2:0.8:2"],
      "sweep axes tau, tau set one parameter twice"),
     (["--scenario", "mf-noisy-cooling", "--sweep", "tau=0.1:0.9:3", "--sweep", "tau1=0.2:0.8:2"],
-     "sweep axes tau, tau1 set one parameter twice (tau sets tau1 and tau2)"),
+     "cannot set tau together with tau1 (tau sets tau1 and tau2)"),
     (["--scenario", "mf-noisy-cooling", "--sweep", "tau2=0.1:0.9:3", "--sweep", "tau=0.2:0.8:2"],
-     "sweep axes tau2, tau set one parameter twice"),
+     "cannot set tau together with tau2 (tau sets tau1 and tau2)"),
 ], ids=["eta0", "tau", "eta0-qudit", "a", "b", "no-points", "chi-nan", "repeated-axis", "tau-and-tau1", "tau2-and-tau"])
 def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, limit):
     # every point is checked before the first row is computed
