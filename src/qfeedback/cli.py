@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+
+MAX_SWEEP_POINTS = 10 ** 6  # a sweep holds about 4.2 KB per point
 
 
 def _fmt(x: float) -> str:
@@ -154,16 +157,22 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     try:
         name, rng = spec.split("=", 1)
         lo, hi, count = rng.split(":")
-        values = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise ConfigError(f"bad sweep axis {spec!r}; expected name=lo:hi:count") from exc
     name = name.strip()
     allowed = [p.name for p in PARAMETERS if p.type is float]
     if name not in allowed:
         raise ConfigError(f"cannot sweep {name!r}; allowed: {sorted(allowed)}")
-    if values.size == 0:
+    if count < 1:
         raise ConfigError(f"sweep axis {spec!r} needs at least one point")
-    return name, values
+    _check_sweep_size(count)
+    return name, np.linspace(lo, hi, count)
+
+
+def _check_sweep_size(n_points: int) -> None:
+    if n_points > MAX_SWEEP_POINTS:
+        raise ConfigError(f"a sweep may have at most {MAX_SWEEP_POINTS} points, got {n_points}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -174,6 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
         raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice")
+    _check_sweep_size(math.prod(len(values) for _, values in axes))
     points = list(itertools.product(*(values for _, values in axes)))
 
     # every point is resolved like any config, and checked before any row is computed

@@ -4,8 +4,11 @@ plus the config resolution used by the command-line front end.
 Each preset is one `Scenario` record in `SCENARIOS`: per protocol label, one
 (noise, controller reset state η, in-loop stage) triple, together with its
 defaults and its closed-form oracle columns. The CLI and `validate` build
-every preset protocol from this table. A scenario resolves a flat config dict
-(scenario defaults < config file < command-line overrides) into one or more
+every preset protocol from this table. `PARAMETERS` declares each config
+parameter once: its type, default, range and flag help, from which the
+defaults, the config check, the CLI flags and the sweep axes are read. A
+scenario resolves a flat config dict (parameter defaults < scenario defaults
+< config file < command-line overrides) into one or more
 `FeedbackProtocol`s and computes its metric row, with the oracle values
 wherever the oracle describes the protocol that was built. `metric_rows`
 computes the rows of many configs (a sweep) as one batch: noise, η and stages
@@ -53,6 +56,11 @@ class ConfigError(ValueError):
     """Invalid configuration (unknown scenario, bad parameter, bad axis)."""
 
 
+# Size limits, refused before anything is allocated or started.
+MAX_THREADS = 64                # sample_ensemble starts one OS thread per worker
+MAX_TRAJECTORY_STEPS = 10 ** 7  # ntraj * steps; an ensemble holds about 370 B per trajectory-step
+
+
 class Parameter(NamedTuple):
     """One config parameter: a config key, a command-line flag and, for a float, a sweep axis."""
 
@@ -76,19 +84,30 @@ PARAMETERS = (
     Parameter("phi1", float, 0.0, -math.inf, math.inf, "in-loop unitary phase"),
     Parameter("a", float, 0.5, 0.0, 1.0, "POVM diagonal element a"),
     Parameter("b", float, 0.5, 0.0, 1.0, "POVM diagonal element b"),
-    Parameter("seed", int, 0, -math.inf, math.inf, "RNG seed"),
+    Parameter("seed", int, 0, 0, math.inf, "RNG seed"),
     Parameter("steps", int, 100, 1, math.inf, "cycles per trajectory"),
     Parameter("ntraj", int, 100, 1, math.inf, "number of trajectories"),
-    Parameter("threads", int, 0, 0, math.inf, "worker pool size (0 = hardware)"),
+    Parameter("threads", int, 0, 0, MAX_THREADS, "worker pool size (0 = hardware)"),
 )
+# the keys of a config document besides the parameters (a sweep's sidecar records its `sweep` axes)
+_CONFIG_KEYS = frozenset({p.name for p in PARAMETERS} | {"scenario", "eta", "stage", "sweep"})
 
 
 def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     """Merge the parameter defaults, the scenario's defaults, a config document
     and overrides (highest precedence). `tau` sets `tau1` and `tau2`: an
-    overriding `tau` replaces both, so it cannot come with either of them."""
+    overriding `tau` replaces both, so it cannot come with either of them. An
+    `eta0` given without an `eta` spec sets the spec `{"eta0": x}`, and that
+    spec sets `eta0`."""
     config = dict(config or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    unknown = sorted(config.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                          f"accepted keys: {sorted(_CONFIG_KEYS)}")
+    eta = config.get("eta")
+    if isinstance(eta, dict) and "eta0" in eta and "eta0" in config and eta["eta0"] != config["eta0"]:
+        raise ConfigError(f"config sets eta0 = {config['eta0']} and the eta spec {eta}: give one eta0")
     name = overrides.get("scenario", config.get("scenario"))
     if not name:
         raise ConfigError("no scenario given (set 'scenario' in the config or pass --scenario)")
@@ -102,8 +121,9 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     cfg.update(config)
     cfg.update(overrides)
     cfg["scenario"] = name
-    if "eta0" in overrides:
-        cfg["eta"] = {"eta0": overrides["eta0"]}
+    for layer in (config, overrides):
+        if "eta0" in layer and "eta" not in layer:
+            cfg["eta"] = {"eta0": layer["eta0"]}
     cfg.setdefault("tau1", cfg["tau"])
     cfg.setdefault("tau2", cfg["tau"])
     if "tau" in overrides:
@@ -121,17 +141,24 @@ def _range_text(p: Parameter) -> str:
 def _validate_resolved(cfg: dict) -> None:
     try:
         for p in PARAMETERS:
-            x = cfg[p.name]
-            if p.type is int and isinstance(x, float) and not x.is_integer():  # int() would truncate it
-                raise ConfigError(f"{p.name} must be an integer, got {x!r}")
-            x = cfg[p.name] = p.type(x)
-            if not (p.low <= x <= p.high and (p.type is int or math.isfinite(x))):
-                raise ConfigError(f"{p.name} must be {_range_text(p)}, got {x}")
+            name, kind, _, low, high, _ = p
+            x = cfg[name]
+            if kind is int and isinstance(x, float) and not x.is_integer():  # int() would truncate it
+                raise ConfigError(f"{name} must be an integer, got {x!r}")
+            x = cfg[name] = kind(x)
+            if not (low <= x <= high and (kind is int or math.isfinite(x))):
+                raise ConfigError(f"{name} must be {_range_text(p)}, got {x}")
+        if cfg["ntraj"] * cfg["steps"] > MAX_TRAJECTORY_STEPS:
+            raise ConfigError(f"ntraj*steps must be at most {MAX_TRAJECTORY_STEPS}, "
+                              f"got {cfg['ntraj']}*{cfg['steps']} = {cfg['ntraj'] * cfg['steps']}")
         eta = cfg.get("eta")
-        if isinstance(eta, dict) and "eta0" in eta and not (cfg["d"] == 2 and 0.0 <= float(eta["eta0"]) <= 1.0):
-            raise ConfigError(f"eta0 sets the qubit controller state diag(eta0, 1-eta0) and needs d=2 "
-                              f"and eta0 in [0,1], got d={cfg['d']}, eta0={eta['eta0']}")
-    except (TypeError, ValueError) as exc:
+        if isinstance(eta, dict) and "eta0" in eta:
+            x = float(eta["eta0"])
+            if not (cfg["d"] == 2 and 0.0 <= x <= 1.0):
+                raise ConfigError(f"eta0 sets the qubit controller state diag(eta0, 1-eta0) and needs d=2 "
+                                  f"and eta0 in [0,1], got d={cfg['d']}, eta0={eta['eta0']}")
+            cfg["eta0"] = x  # the eta0 that the run uses
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -181,18 +208,11 @@ def _eta(cfg: dict) -> np.ndarray:
         if "preset" in spec:
             return controller_state(cfg["d"], spec["preset"])
         if "eta0" in spec:
-            return controller_state(2, float(spec["eta0"]))
+            return controller_state(2, cfg["eta0"])
         if "matrix" in spec:
             return controller_state(cfg["d"], parse_matrix(spec["matrix"]))
         raise ConfigError(f"eta spec needs 'preset', 'eta0' or 'matrix': {spec!r}")
     return controller_state(cfg["d"], spec)
-
-
-def _eta0_value(cfg: dict) -> float:
-    spec = cfg.get("eta", {})
-    if isinstance(spec, dict) and "eta0" in spec:
-        return float(spec["eta0"])
-    return float(cfg["eta0"])
 
 
 def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +244,7 @@ def _cool(cfg: dict):
 
 def _cool_to_dominant(cfg: dict):
     """Re-prepare the dominant state of diag(eta0, 1-eta0): |0> for eta0 >= 1/2, else |1>."""
-    return all_to_target_stage(cfg["d"], 0 if _eta0_value(cfg) >= 0.5 else 1)
+    return all_to_target_stage(cfg["d"], 0 if cfg["eta0"] >= 0.5 else 1)
 
 
 def _do_nothing(cfg: dict):
@@ -289,7 +309,7 @@ SCENARIOS: dict[str, Scenario] = {
         None),
     "mf-eta-cooling": Scenario(
         "steady", _ETA, _depolarizing, {"mf": _cool_to_dominant}, True,
-        lambda c: {"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], _eta0_value(c))[0]}, None),
+        lambda c: {"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"])[0]}, None),
     "cf-noisy": Scenario("steady", _NOISY, _depolarizing, {"cf": _coherent_loop}, False,
                          lambda c: {"oracle_alpha0": 1.0 / c["d"]}, None),
     "cf-clean": Scenario(
@@ -298,7 +318,7 @@ SCENARIOS: dict[str, Scenario] = {
         None),
     "cf-eta": Scenario(
         "steady", _ETA, _depolarizing, {"cf": _coherent_loop}, False,
-        lambda c: ({"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], _eta0_value(c))[1]}
+        lambda c: ({"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"])[1]}
                    if _unrotated(c) else {}),
         None),
     "ad-cf": Scenario("steady", _NOISY, _damping, {"cf": lambda c: CoherentStage(rotation(c["chi"]))}, True,
@@ -311,7 +331,7 @@ SCENARIOS: dict[str, Scenario] = {
         _entropy_difference),
     "eta-cooling-compare": Scenario(
         "compare", _ETA, _depolarizing, {"mf": _cool_to_dominant, "cf": _do_nothing}, True,
-        lambda c: dict(zip(("oracle_s_mf", "oracle_s_cf"), oracles.eta_entropies(c["tau1"], c["lambda"], _eta0_value(c)))),
+        lambda c: dict(zip(("oracle_s_mf", "oracle_s_cf"), oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"]))),
         _entropy_difference),
     "ad-compare": Scenario(
         "compare", _NOISY, _damping,

@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from qfeedback import cli, oracles
 from qfeedback.loop import sample_ensemble, steady_state
 from qfeedback.metrics import von_neumann_entropy
 from qfeedback.quantum import maximally_mixed
-from qfeedback.scenarios import SCENARIOS, build_protocols, metric_row, resolve_config
+from qfeedback.scenarios import PARAMETERS, SCENARIOS, build_protocols, metric_row, resolve_config
 
 
 def run_cli(*args, cwd=None):
@@ -208,6 +210,173 @@ def test_whole_number_floats_are_integer_settings(capsys, tmp_path):
     resolved = json.loads(capsys.readouterr().out.split("resolved config: ")[1])
     assert {k: resolved[k] for k in ("d", "steps", "seed", "ntraj", "threads")} == {
         "d": 3, "steps": 10, "seed": 1, "ntraj": 2, "threads": 1}
+
+
+def _inside(p):
+    """A value of parameter `p` a quarter of the way into its range (from 0, or 4 wide, where it is open)."""
+    low = p.low if math.isfinite(p.low) else 0
+    high = p.high if math.isfinite(p.high) else low + 4
+    return p.type(low + (high - low) / 4)
+
+
+@pytest.mark.parametrize("p", PARAMETERS, ids=lambda p: p.name)
+def test_each_flag_reaches_the_resolved_config(p):
+    x = _inside(p)
+    args = cli.build_parser().parse_args(["steady", "--scenario", "mf-noisy-cooling", f"--{p.name}", str(x)])
+    cfg = cli._resolved(args)
+    assert cfg[p.name] == x and type(cfg[p.name]) is p.type
+
+
+@pytest.mark.parametrize("p", PARAMETERS, ids=lambda p: p.name)
+def test_the_float_parameters_are_the_sweep_axes(capsys, p):
+    argv = ["sweep", "--scenario", "mf-noisy-cooling", "--sweep", f"{p.name}=0.25:0.75:2"]
+    if p.type is float:
+        assert cli.main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split(",")[0] == p.name and len(rows) == 2
+    else:
+        assert cli.main(argv) == 2
+        assert f"config error: cannot sweep {p.name!r}" in capsys.readouterr().err
+
+
+_OUT_OF_RANGE = ([(p, p.low - (1 if p.type is int else 0.5)) for p in PARAMETERS if math.isfinite(p.low)]
+                 + [(p, p.high + (1 if p.type is int else 0.5)) for p in PARAMETERS if math.isfinite(p.high)])
+
+
+@pytest.mark.parametrize("p,value", _OUT_OF_RANGE,
+                         ids=[f"{p.name}-{'below' if x < p.low else 'above'}" for p, x in _OUT_OF_RANGE])
+def test_out_of_range_values_exit_2(capsys, p, value):
+    assert cli.main(["steady", "--scenario", "mf-noisy-cooling", f"--{p.name}={value}"]) == 2
+    assert f"config error: {p.name} must be " in capsys.readouterr().err
+
+
+def _readme_range(p) -> str:
+    if p.high == math.inf:
+        return "finite" if p.low == -math.inf else f"≥ {p.low:g}"
+    return f"[{p.low:g}, {p.high:g}]"
+
+
+def test_readme_parameter_table_matches_the_parameters():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Parameters\n", 1)[1].split("\n#", 1)[0]
+    listed = [tuple(cell.strip() for cell in line.split("|")[1:5])
+              for line in section.splitlines() if line.startswith("| `")]
+    assert listed == [(f"`{p.name}`", p.type.__name__, _readme_range(p),
+                       "`tau`" if p.default is None else f"{p.default:g}") for p in PARAMETERS]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed=-1"], "seed must be at least 0, got -1"),
+    (["--threads", "65"], "threads must be in [0,64], got 65"),
+    (["--ntraj", "10001", "--steps", "1000"], "ntraj*steps must be at most 10000000, got 10001*1000 = 10001000"),
+], ids=["negative-seed", "threads", "trajectory-steps"])
+def test_trajectory_settings_are_refused_before_the_ensemble_starts(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(cli, "sample_ensemble", lambda *args, **kwargs: pytest.fail("the ensemble started"))
+    assert cli.main(["trajectories", "--scenario", "mf-noisy-cooling", *argv]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axes,count", [(["tau=0:1:1000001"], 1000001), (["tau=0:1:1001", "lambda=0:1:1000"], 1001000)],
+                         ids=["one-axis", "two-axes"])
+def test_sweep_above_the_point_limit_exits_2(monkeypatch, capsys, axes, count):
+    # refused from the counts: no axis longer than the limit is made and no point is resolved
+    linspace, resolved = np.linspace, []
+
+    def short_linspace(lo, hi, num):
+        assert num <= 10 ** 6, "an axis above the limit was made"
+        return linspace(lo, hi, num)
+
+    def base_config_only(*args):
+        resolved.append(args)
+        assert len(resolved) == 1, "a sweep point was resolved"
+        return resolve_config(*args)
+
+    monkeypatch.setattr(np, "linspace", short_linspace)
+    monkeypatch.setattr(cli, "resolve_config", base_config_only)
+    assert cli.main(["sweep", "--scenario", "mf-noisy-cooling", *itertools.chain(*(("--sweep", a) for a in axes))]) == 2
+    assert f"config error: a sweep may have at most 1000000 points, got {count}" in capsys.readouterr().err
+
+
+def test_integers_beyond_the_float_range(capsys, tmp_path):
+    big = 10 ** 400
+    assert cli.main(["steady", "--scenario", "mf-noisy-cooling", f"--seed={big}"]) == 0  # an int has no float range
+    assert f'"seed": {big},' in capsys.readouterr().out
+    for config in ({"scenario": "mf-noisy-cooling", "tau": big}, {"scenario": "mf-eta-cooling", "eta": {"eta0": big}}):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert cli.main(["steady", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "config error: bad config value: int too large to convert to float" in capsys.readouterr().err
+
+
+def test_tau_flag_with_tau1_or_tau2_exits_2(capsys, tmp_path):
+    # --tau replaced --tau1 silently: this ran at tau1=0.5
+    for argv, other in ((["--tau", "0.5", "--tau1", "0.2"], "tau1"), (["--tau2", "0.3", "--tau", "0.5"], "tau2")):
+        assert cli.main(["steady", "--scenario", "mf-noisy-cooling", *argv]) == 2
+        assert f"config error: cannot set tau together with {other} (tau sets tau1 and tau2)" in capsys.readouterr().err
+    # a config document's tau fills in only the coupling it does not set
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "mf-noisy-cooling", "tau": 0.5, "tau1": 0.2}))
+    assert cli.main(["steady", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert "tau1=0.2, tau2=0.5" in capsys.readouterr().out
+
+
+def _steady_with_config(capsys, tmp_path, config: dict) -> tuple[int, str, str]:
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = cli.main(["steady", "--config", str(tmp_path / "cfg.json")])
+    return (code, *capsys.readouterr())
+
+
+def test_config_eta0_sets_the_eta_spec_like_the_flag(capsys, tmp_path):
+    assert cli.main(["steady", "--scenario", "mf-eta-cooling", "--eta0", "0.9"]) == 0
+    flag = capsys.readouterr().out
+    code, out, _ = _steady_with_config(capsys, tmp_path, {"scenario": "mf-eta-cooling", "eta0": 0.9})
+    assert code == 0 and out == flag and "spectrum: 0.9, 0.1" in out
+
+
+def test_eta0_spec_sets_the_recorded_eta0(capsys, tmp_path):
+    code, out, _ = _steady_with_config(capsys, tmp_path, {"scenario": "mf-eta-cooling", "eta": {"eta0": 0.3}})
+    resolved = json.loads(out.split("resolved config: ")[1])
+    assert code == 0 and resolved["eta"] == {"eta0": 0.3} and resolved["eta0"] == 0.3
+    assert cli.main(["steady", "--scenario", "mf-eta-cooling", "--eta0", "0.3"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_config_with_two_different_eta0_exits_2(capsys, tmp_path):
+    config = {"scenario": "mf-eta-cooling", "eta0": 0.9, "eta": {"eta0": 0.3}}
+    code, out, err = _steady_with_config(capsys, tmp_path, config)
+    assert code == 2 and out == "" and "config error: config sets eta0 = 0.9 and the eta spec {'eta0': 0.3}" in err
+    code, _, _ = _steady_with_config(capsys, tmp_path, config | {"eta0": 0.3})  # the same eta0 twice
+    assert code == 0
+
+
+def test_unknown_config_key_exits_2(capsys, tmp_path):
+    code, out, err = _steady_with_config(capsys, tmp_path, {"scenario": "mf-noisy-cooling", "lamda": 0.9})
+    assert code == 2 and out == ""
+    assert "config error: unknown config key 'lamda'; accepted keys: [" in err and "'lambda'" in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["steady", "--scenario", "mf-eta-cooling", "--tau1", "0.3", "--tau2", "0.6", "--eta0", "0.2"], None),
+    (["steady", "--lambda", "0.7"],
+     {"scenario": "cf-clean", "tau": 0.3, "stage": {"type": "cf", "unitary": [[0, 1], [1, 0]]}}),
+    (["trajectories", "--scenario", "ad-mf", "--tau", "0.4", "--gamma", "0.3", "--steps", "7", "--ntraj", "9",
+      "--seed", "3"], None),
+    (["sweep", "--scenario", "bitflip-povm", "--tau", "0.4", "--sweep", "a=0:1:3", "--sweep", "b=0.2:0.8:2"], None),
+    (["sweep", "--sweep", "eta0=0.1:0.9:3"], {"scenario": "eta-cooling-compare", "lambda": 0.6}),
+], ids=["steady", "steady-stage", "trajectories", "sweep", "sweep-eta0"])
+def test_sidecar_config_reproduces_the_output(capsys, tmp_path, argv, config):
+    if config is not None:
+        (tmp_path / "first.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "first.json")]
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert cli.main([*argv, "--out", str(first)]) == 0
+    out = capsys.readouterr().out
+    sidecar = json.loads((tmp_path / "first.csv.meta.json").read_text())
+    (tmp_path / "sidecar.json").write_text(json.dumps(sidecar["config"]))
+    axes = [arg for flag, arg in zip(argv, argv[1:]) if flag == "--sweep"]
+    assert cli.main([argv[0], "--config", str(tmp_path / "sidecar.json"),
+                     *itertools.chain(*(("--sweep", axis) for axis in axes)), "--out", str(again)]) == 0
+    assert capsys.readouterr().out == out.replace(str(first), str(again))
+    assert again.read_bytes() == first.read_bytes()
+    assert (tmp_path / "again.csv.meta.json").read_bytes() == (tmp_path / "first.csv.meta.json").read_bytes()
 
 
 def test_trajectories_require_mf_scenario():
