@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -42,6 +43,8 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 MAX_SWEEP_POINTS = 10 ** 6  # a sweep holds about 4.2 KB per point
+CSV_CHUNK_ROWS = 4096
+_CONVERSION = re.compile(r"%(?:\.15g|d|s)")  # the conversions of a CSV row template
 
 
 def _fmt(x: float) -> str:
@@ -50,12 +53,30 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: str | None, header: list[str], blocks) -> None:
     """Write the CSV to `path`, or to stdout. `blocks` holds a (row template, columns) pair per block
-    of rows sharing a layout, each formatted by one `%` (`%.15g` gives the bytes of `{:.15g}`)."""
-    text = ",".join(header) + "\n" + "".join(
-        (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
-        for template, columns in blocks)
+    of rows sharing a layout. A block is written in chunks of CSV_CHUNK_ROWS rows, each formatted by one
+    `%` (`%.15g` gives the bytes of `{:.15g}`)."""
     with open(path, "w", newline="\n") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n")
+        for template, columns in blocks:
+            literals = _CONVERSION.split(template)
+            conversions, cells = zip(*map(_column_cells, _CONVERSION.findall(template), columns))
+            row = "".join(itertools.chain.from_iterable(zip(literals, conversions + ("",))))
+            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                chunk = [column(slice(start, start + CSV_CHUNK_ROWS)) for column in cells]
+                fh.write((row * len(chunk[0])) % tuple(itertools.chain.from_iterable(zip(*chunk))))
+
+
+def _column_cells(conversion: str, column) -> tuple:
+    """The conversion and the cells (a function of a row slice) of one CSV column. A numpy column of
+    8-byte values of which at most half are distinct has each distinct value formatted once, keyed on
+    its bits (so -0.0 and 0.0 stay apart), and its cells are that text."""
+    if not isinstance(column, np.ndarray):
+        return conversion, column.__getitem__
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    if 2 * len(keys) > len(column):
+        return conversion, lambda rows: column[rows].tolist()
+    text = np.array([conversion % x for x in keys.view(column.dtype).tolist()], dtype=object)
+    return "%s", lambda rows: text[inverse[rows]].tolist()
 
 
 def _row_blocks(rows: list[list]) -> list:
@@ -85,9 +106,12 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _overrides(args: argparse.Namespace) -> dict:
+    return {p.name: getattr(args, p.name) for p in PARAMETERS} | {"scenario": args.scenario}
+
+
 def _resolved(args: argparse.Namespace) -> dict:
-    overrides = {p.name: getattr(args, p.name) for p in PARAMETERS}
-    return resolve_config(_load_config(args.config), overrides | {"scenario": args.scenario})
+    return resolve_config(_load_config(args.config), _overrides(args))
 
 
 def _threads(cfg: dict) -> int:
@@ -142,10 +166,9 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     step = np.arange(1, steps + 1)
     _write_csv(args.out, header, [
         ("%d,%d,%d,%.15g,%.15g,%.15g\n",
-         [np.repeat(np.arange(n), steps).tolist(), np.tile(step, n).tolist()]
-         + [a.ravel().tolist() for a in (ens.outcomes, ens.probabilities, ens.entropies, ens.rho11)]),
-        ("mean,%d,,,%.15g,%.15g\n",
-         [step.tolist(), ens.entropies.mean(axis=0).tolist(), ens.rho11.mean(axis=0).tolist()]),
+         [np.repeat(np.arange(n), steps), np.tile(step, n)]
+         + [a.ravel() for a in (ens.outcomes, ens.probabilities, ens.entropies, ens.rho11)]),
+        ("mean,%d,,,%.15g,%.15g\n", [step, ens.entropies.mean(axis=0), ens.rho11.mean(axis=0)]),
     ])
     if args.out:
         _write_sidecar(args.out, "trajectories", cfg)
@@ -176,13 +199,17 @@ def _check_sweep_size(n_points: int) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolved(args)
+    document = _load_config(args.config)
+    cfg = resolve_config(document, _overrides(args))
     axes = [_parse_axis(s) for s in (args.sweep or [])]
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 --sweep axes, got {len(axes)}")
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
         raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice")
+    fixed = [k for k in ("tau1", "tau2") if "tau" in names and (getattr(args, k) is not None or k in document)]
+    if fixed:  # each point's tau would replace them
+        raise ConfigError(f"cannot sweep tau with {' and '.join(fixed)} set (tau sets tau1 and tau2)")
     _check_sweep_size(math.prod(len(values) for _, values in axes))
     points = list(itertools.product(*(values for _, values in axes)))
 

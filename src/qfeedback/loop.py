@@ -13,6 +13,14 @@ once per protocol; the superoperator Σ_j L_j, its steady state (cross-checked
 by fixed-point iteration), the branch probabilities vec(1)ᵀ L_j vec ρ and the
 seeded trajectories (trajectory i is row i of one ensemble) read from it.
 
+An ensemble step works on distinct values. The trajectories' states repeat
+heavily at d = 2, so each step contracts L only with the distinct states
+(keyed on their bytes) and cleans each distinct (state, outcome) pair once,
+gathering the results back to every row. A contraction's row depends on no
+other row, so the arrays are bit for bit those of a step per row. Once a step
+starts from more distinct states than half the rows (often at d = 3),
+the ensemble steps every row on its own for the rest of the run.
+
 Many protocols (the points of a sweep) are built as one (P, J, d², d²) stack
 by `branch_liouvillians` and solved as one batch by `steady_states`; a single
 protocol is the one-point case of both.
@@ -376,6 +384,13 @@ def _hygiene_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return states, w
 
 
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of x (m, k), keyed on their bytes, and for each row of x the index of its copy."""
+    keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return x[first], inverse
+
+
 def _run_chunk(
     rho0: np.ndarray,
     p: FeedbackProtocol,
@@ -388,43 +403,59 @@ def _run_chunk(
     return their worst majorisation violation (-inf when unchecked).
 
     Every step draws outcome j by inverse CDF over p_j = vec(1)ᵀ L_j vec ρ.
+    The step works on distinct values: the contraction with L runs once per
+    distinct state, and the hygiene once per distinct (state, outcome) pair,
+    until a step starts from more distinct states than half the rows; from
+    then on every row is stepped on its own.
     """
-    d, steps = p.d, out.outcomes.shape[1]
+    d, steps, n_out = p.d, out.outcomes.shape[1], len(p.L)
     # counter-based per-trajectory streams: ensembles are reproducible and
     # order-independent no matter how they are chunked across workers
     uniforms = np.stack([np.random.default_rng((seed, i)).random(steps) for i in range(rows.start, rows.stop)])
     n = len(uniforms)
     idx = np.arange(n)
-    vecs = np.broadcast_to(stack(rho0), (n, d * d))
+    # the states (stacked), and where each row's state is among them
+    vecs, at, dedupe = stack(rho0)[None], np.zeros(n, dtype=np.intp), True
     worst = -np.inf
     # branch maps that stop before the second coupling: the pre-U₂ system state
     mids = _branch_liouvillians(p, 1.0) if check_majorization else None
     for t in range(steps):
+        if dedupe:
+            vecs, inverse = _distinct_rows(vecs)
+            at = inverse[at]
+            if 2 * len(vecs) > n:  # more than half distinct: np.unique no longer pays
+                vecs, at, dedupe = vecs[at], slice(None), False
         outs = np.einsum("jab,nb->jna", p.L, vecs)
         probs = _traces(outs, d).T
-        cum = np.cumsum(probs, axis=1)
+        cum = np.cumsum(probs, axis=1)[at]
         u = uniforms[:, t] * cum[:, -1]
         chosen = (u[:, None] >= cum).sum(axis=1)
-        np.clip(chosen, 0, len(p.L) - 1, out=chosen)
-        pj = probs[idx, chosen]
+        np.clip(chosen, 0, n_out - 1, out=chosen)
+        if dedupe:  # each distinct (state, outcome) pair
+            pairs, pair_at = np.unique(at * n_out + chosen, return_inverse=True)
+            src, pick = np.divmod(pairs, n_out)
+        else:
+            src, pick, pair_at = idx, chosen, at
+        pj = probs[src, pick]
         if float(pj.min()) <= PROBABILITY_FLOOR:
             raise RuntimeError(f"sampled a branch with probability {pj.min():.3e}, below the floor")
-        states, spectra = _hygiene_batch(unstack(outs[chosen, idx] / pj[:, None], d))
+        states, spectra = _hygiene_batch(unstack(outs[pick, src] / pj[:, None], d))
         if mids is not None:
-            rho_j = unstack(np.einsum("nab,nb->na", mids[chosen], vecs) / pj[:, None], d)
+            rho_j = unstack(np.einsum("nab,nb->na", mids[chosen], vecs[at]) / pj[pair_at, None], d)
             w_mid = np.sort(np.linalg.eigvalsh(0.5 * (rho_j + np.conj(np.swapaxes(rho_j, 1, 2)))), axis=1)[:, ::-1]
             # spectrum of the branch output must be majorized by
             # tau2 * spectrum(rho_j) + (1 - tau2) * (pure spectrum)
             bound = p.tau2 * w_mid
             bound[:, 0] += 1.0 - p.tau2
-            viol = np.cumsum(np.sort(spectra, axis=1)[:, ::-1], axis=1) - np.cumsum(bound, axis=1)
+            viol = np.cumsum(np.sort(spectra[pair_at], axis=1)[:, ::-1], axis=1) - np.cumsum(bound, axis=1)
             worst = max(worst, float(viol.max()))
+        at = pair_at
         out.outcomes[rows, t] = chosen
-        out.probabilities[rows, t] = pj
-        out.entropies[rows, t] = _entropy_batch(spectra, d)
-        out.rho11[rows, t] = states[:, 1, 1].real
+        out.probabilities[rows, t] = pj[at]
+        out.entropies[rows, t] = _entropy_batch(spectra, d)[at]
+        out.rho11[rows, t] = states[:, 1, 1].real[at]
         vecs = stack(states)
-    out.final_states[rows] = states
+    out.final_states[rows] = states[at]
     return worst
 
 

@@ -89,8 +89,12 @@ PARAMETERS = (
     Parameter("ntraj", int, 100, 1, math.inf, "number of trajectories"),
     Parameter("threads", int, 0, 0, MAX_THREADS, "worker pool size (0 = hardware)"),
 )
-# the keys of a config document besides the parameters (a sweep's sidecar records its `sweep` axes)
+# the keys of a config document besides the parameters; `sweep` is accepted so that a sweep's sidecar
+# config can be read back, but the axes come from the command line and no resolved config holds it
 _CONFIG_KEYS = frozenset({p.name for p in PARAMETERS} | {"scenario", "eta", "stage", "sweep"})
+# the keys that each type of config `stage` reads besides `type`
+_STAGE_KEYS = {"cf": {"unitary"}, "mf-projective": {"feedback", "basis"}, "mf-povm": {"kraus"}}
+_ETA_KINDS = ("preset", "eta0", "matrix")
 
 
 def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
@@ -100,6 +104,7 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     `eta0` given without an `eta` spec sets the spec `{"eta0": x}`, and that
     spec sets `eta0`."""
     config = dict(config or {})
+    config.pop("sweep", None)
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     unknown = sorted(config.keys() - _CONFIG_KEYS)
     if unknown:
@@ -151,7 +156,18 @@ def _validate_resolved(cfg: dict) -> None:
         if cfg["ntraj"] * cfg["steps"] > MAX_TRAJECTORY_STEPS:
             raise ConfigError(f"ntraj*steps must be at most {MAX_TRAJECTORY_STEPS}, "
                               f"got {cfg['ntraj']}*{cfg['steps']} = {cfg['ntraj'] * cfg['steps']}")
+        if "stage" in cfg:
+            stage = cfg["stage"]
+            kind = stage.get("type") if isinstance(stage, dict) else None
+            if kind not in _STAGE_KEYS:
+                raise ConfigError(f"a stage needs a type from {sorted(_STAGE_KEYS)}, got {stage!r}")
+            stray = sorted(stage.keys() - _STAGE_KEYS[kind] - {"type"})
+            if stray:
+                raise ConfigError(f"stage {kind!r} does not read {', '.join(map(repr, stray))}; "
+                                  f"it reads {sorted(_STAGE_KEYS[kind])}")
         eta = cfg.get("eta")
+        if isinstance(eta, dict) and (len(eta) != 1 or next(iter(eta)) not in _ETA_KINDS):
+            raise ConfigError(f"an eta spec needs exactly one of {', '.join(map(repr, _ETA_KINDS))}, got {eta!r}")
         if isinstance(eta, dict) and "eta0" in eta:
             x = float(eta["eta0"])
             if not (cfg["d"] == 2 and 0.0 <= x <= 1.0):
@@ -188,10 +204,8 @@ def _stage_from_config(spec: dict, d: int):
         elif kind == "mf-projective":
             basis = parse_matrix(spec["basis"]) if "basis" in spec else None
             stage = ProjectiveStage(feedback=tuple(parse_matrix(m) for m in spec["feedback"]), basis=basis)
-        elif kind == "mf-povm":
+        else:  # "mf-povm": resolve_config checked the type
             stage = PovmStage(kraus=tuple(parse_matrix(m) for m in spec["kraus"]))
-        else:
-            raise ConfigError(f"unknown stage type {kind!r}")
         stage.controller_ops(d)
     except ConfigError:
         raise
@@ -203,16 +217,20 @@ def _stage_from_config(spec: dict, d: int):
 
 
 def _eta(cfg: dict) -> np.ndarray:
+    """The controller reset state of a resolved config's eta spec (a dict holds exactly one kind)."""
     spec = cfg.get("eta", {"preset": "noisy"})
-    if isinstance(spec, dict):
+    try:
+        if not isinstance(spec, dict):
+            return controller_state(cfg["d"], spec)
         if "preset" in spec:
             return controller_state(cfg["d"], spec["preset"])
         if "eta0" in spec:
             return controller_state(2, cfg["eta0"])
-        if "matrix" in spec:
-            return controller_state(cfg["d"], parse_matrix(spec["matrix"]))
-        raise ConfigError(f"eta spec needs 'preset', 'eta0' or 'matrix': {spec!r}")
-    return controller_state(cfg["d"], spec)
+        return controller_state(cfg["d"], parse_matrix(spec["matrix"]))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad eta spec {spec!r} at d={cfg['d']}: {exc}") from exc
 
 
 def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -121,9 +121,15 @@ def test_trajectories_mean_entropy_converges(tmp_path):
             assert abs(float(fields[4]) - s_ss) < 0.02
 
 
+def _per_cell_csv(rows) -> bytes:
+    """CSV rows written cell by cell: `{:.15g}` per float, `str` per int and empty for None."""
+    def cell(x):
+        return "" if x is None else f"{x:.15g}" if isinstance(x, float) else str(x)
+    return "".join(",".join(cell(x) for x in row) + "\n" for row in rows).encode()
+
+
 def _per_cell_trajectories_csv(overrides: dict) -> bytes:
-    """The trajectories CSV written cell by cell: `{:.15g}` per float, `str`
-    per int and empty for None, mean rows included."""
+    """The trajectories CSV written cell by cell, mean rows included."""
     cfg = resolve_config({}, overrides)
     steps, ntraj = cfg["steps"], cfg["ntraj"]
     ens = sample_ensemble(maximally_mixed(cfg["d"]), build_protocols(cfg)["mf"], steps, ntraj,
@@ -134,10 +140,7 @@ def _per_cell_trajectories_csv(overrides: dict) -> bytes:
              for i in range(ntraj) for t in range(steps)]
     mean_entropy, mean_rho11 = ens.entropies.mean(axis=0), ens.rho11.mean(axis=0)
     rows += [["mean", t + 1, None, None, float(mean_entropy[t]), float(mean_rho11[t])] for t in range(steps)]
-
-    def cell(x):
-        return "" if x is None else f"{x:.15g}" if isinstance(x, float) else str(x)
-    return "".join(",".join(cell(x) for x in row) + "\n" for row in rows).encode()
+    return _per_cell_csv(rows)
 
 
 @pytest.mark.parametrize("scenario,d", [("mf-noisy-cooling", 2), ("ad-mf", 2), ("mf-noisy-cooling", 3)])
@@ -149,6 +152,65 @@ def test_trajectories_csv_matches_per_cell_format(tmp_path, scenario, d):
     assert r.returncode == 0
     assert r.stdout == f"wrote {30 * 12 + 12} rows to {out}\n"
     assert out.read_bytes() == _per_cell_trajectories_csv(ov)
+
+
+def test_trajectories_csv_of_several_chunks_matches_per_cell_format(tmp_path):
+    ov = {"scenario": "mf-clean-cooling", "tau": 0.4, "lambda": 0.6, "steps": 11, "ntraj": 800, "seed": 2,
+          "threads": 1}
+    assert 11 * 800 > 2 * cli.CSV_CHUNK_ROWS
+    out = tmp_path / "t.csv"
+    assert cli.main(["trajectories", *(f"--{k}={v}" for k, v in ov.items()), "--out", str(out)]) == 0
+    assert out.read_bytes() == _per_cell_trajectories_csv(ov)
+
+
+@pytest.mark.parametrize("n_rows", [1, 30, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS + 1,
+                                    2 * cli.CSV_CHUNK_ROWS + 7])
+def test_chunked_csv_writer_matches_per_cell_format(tmp_path, n_rows):
+    """Rows below, at and above one chunk; columns of few and of many distinct
+    values (formatted once per distinct value, or cell by cell), with -0.0,
+    nan and inf cells."""
+    rng = np.random.default_rng(n_rows)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-300])
+    repeated_ints, distinct_ints = np.arange(n_rows) // 3, rng.integers(-2 ** 62, 2 ** 62, n_rows)
+    repeated_floats = rng.choice(special, n_rows)
+    distinct_floats = np.where(rng.random(n_rows) < 0.2, rng.choice(special, n_rows), rng.normal(0, 1e3, n_rows))
+    means = rng.random(n_rows // 2 + 1)
+    out = tmp_path / "t.csv"
+    cli._write_csv(str(out), ["a", "b", "c", "d"], [
+        ("%d,%d,%.15g,%.15g\n", [repeated_ints, distinct_ints, repeated_floats, distinct_floats]),
+        ("mean,,%.15g,\n", [means]),
+    ])
+    rows = [["a", "b", "c", "d"]]
+    rows += [[int(i), int(j), float(x), float(y)]
+             for i, j, x, y in zip(repeated_ints, distinct_ints, repeated_floats, distinct_floats)]
+    rows += [["mean", None, float(x), None] for x in means]
+    assert out.read_bytes() == _per_cell_csv(rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "ad-cf", "--tau", "0.3", "--sweep", f"chi=0:{math.pi / 2!r}:3"],  # oracle only at chi = 0, pi/2
+    ["--scenario", "bitflip-povm", "--tau", "0.4", "--sweep", "a=0:1:4", "--sweep", "b=0:1:3"],
+], ids=["row-layouts", "2axis"])
+def test_sweep_csv_matches_per_cell_format(tmp_path, argv):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
+    cfg = cli._resolved(cli.build_parser().parse_args(["sweep", *argv]))
+    axes = [cli._parse_axis(spec) for flag, spec in zip(argv, argv[1:]) if flag == "--sweep"]
+    points = [dict(zip([name for name, _ in axes], map(float, values)))
+              for values in itertools.product(*(values for _, values in axes))]
+    rows = [point | metric_row(resolve_config(cfg, point)) for point in points]
+    assert out.read_bytes() == _per_cell_csv([list(rows[0])] + [[row.get(k) for k in rows[0]] for row in rows])
+
+
+def test_steady_csv_matches_per_cell_format(tmp_path):
+    out = tmp_path / "s.csv"
+    assert cli.main(["steady", "--scenario", "mf-noisy-cooling", "--d", "3", "--tau", "0.3", "--out", str(out)]) == 0
+    cfg = resolve_config({}, {"scenario": "mf-noisy-cooling", "d": 3, "tau": 0.3})
+    rho, gap = steady_state(build_protocols(cfg)["mf"])
+    row = metric_row(cfg, solved=(rho, gap))
+    spectrum = [float(x) for x in np.sort(np.linalg.eigvalsh(rho))[::-1]]
+    assert out.read_bytes() == _per_cell_csv([["scenario", "alpha0", "alpha1", "alpha2", *row],
+                                              ["mf-noisy-cooling", *spectrum, *row.values()]])
 
 
 def test_trajectories_stdout_equals_file(tmp_path):
@@ -318,6 +380,22 @@ def test_tau_flag_with_tau1_or_tau2_exits_2(capsys, tmp_path):
     assert "tau1=0.2, tau2=0.5" in capsys.readouterr().out
 
 
+def test_tau_axis_with_tau1_or_tau2_set_exits_2(capsys, tmp_path):
+    # a tau axis replaced --tau1 silently: this wrote the rows of the sweep without --tau1
+    sweep = ["sweep", "--scenario", "clean-cooling-compare", "--sweep", "tau=0.3:0.5:2"]
+    assert cli.main([*sweep, "--tau1", "0.2"]) == 2
+    assert "config error: cannot sweep tau with tau1 set (tau sets tau1 and tau2)" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"tau2": 0.2}))
+    assert cli.main([*sweep, "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "config error: cannot sweep tau with tau2 set (tau sets tau1 and tau2)" in capsys.readouterr().err
+    assert cli.main([*sweep, "--config", str(tmp_path / "cfg.json"), "--tau1", "0.3"]) == 2
+    assert "cannot sweep tau with tau1 and tau2 set" in capsys.readouterr().err
+    # a tau flag sets the coupling that a tau1 or tau2 axis leaves
+    for axis in ("tau1", "tau2"):
+        assert cli.main(["sweep", "--scenario", "clean-cooling-compare", "--tau", "0.2", "--sweep", f"{axis}=0.3:0.5:2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def _steady_with_config(capsys, tmp_path, config: dict) -> tuple[int, str, str]:
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     code = cli.main(["steady", "--config", str(tmp_path / "cfg.json")])
@@ -345,6 +423,32 @@ def test_config_with_two_different_eta0_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "config error: config sets eta0 = 0.9 and the eta spec {'eta0': 0.3}" in err
     code, _, _ = _steady_with_config(capsys, tmp_path, config | {"eta0": 0.3})  # the same eta0 twice
     assert code == 0
+
+
+@pytest.mark.parametrize("eta,message", [
+    ({"eta0": 0.3, "preset": "clean"}, "an eta spec needs exactly one of 'preset', 'eta0', 'matrix', got "),
+    ({}, "an eta spec needs exactly one of"),
+    ({"preset": "clean", "colour": "red"}, "an eta spec needs exactly one of"),
+    ({"presets": "clean"}, "an eta spec needs exactly one of"),
+    ({"preset": "bogus"}, "bad eta spec {'preset': 'bogus'} at d=2: unknown controller preset 'bogus'"),
+    ("bogus", "bad eta spec 'bogus' at d=2: unknown controller preset 'bogus'"),
+    ({"matrix": [[1, 0], [0, 1]]}, "bad eta spec {'matrix': [[1, 0], [0, 1]]} at d=2: controller state has trace"),
+    (None, "bad eta spec None at d=2: "),
+], ids=["two-kinds", "empty", "stray-key", "misspelt", "bad-preset", "bad-string", "bad-matrix", "null"])
+def test_bad_eta_spec_exits_2(capsys, tmp_path, eta, message):
+    # {"eta0": 0.3, "preset": "clean"} ran the clean preset and recorded eta0 = 0.3; a bad preset raised
+    code, out, err = _steady_with_config(capsys, tmp_path, {"scenario": "mf-eta-cooling", "eta": eta})
+    assert code == 2 and out == "" and f"config error: {message}" in err
+
+
+@pytest.mark.parametrize("command", [["steady"], ["trajectories", "--steps", "3", "--ntraj", "2"]])
+def test_config_sweep_key_is_not_part_of_the_run(capsys, tmp_path, command):
+    # a sweep's sidecar config holds its axes; steady and trajectories printed and recorded them
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "mf-noisy-cooling", "sweep": ["tau=0:1:3"]}))
+    out = tmp_path / "o.csv"
+    assert cli.main([*command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert '"sweep"' not in capsys.readouterr().out
+    assert "sweep" not in json.loads((tmp_path / "o.csv.meta.json").read_text())["config"]
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
@@ -473,7 +577,18 @@ def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, li
     ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-projective", "feedback": [[[1, 0], [0, 1]]]}},
      "need 2 feedback unitaries, got 1"),
     ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-projective", "feedback": 5}}, "not iterable"),
-], ids=["cf-wrong-d", "cf-not-unitary", "cf-no-unitary", "mf-projective-too-few", "mf-projective-not-a-list"])
+    ({"scenario": "cf-clean", "stage": {"type": "cf", "unitary": [[0, 1], [1, 0]], "untary": 5}},
+     "stage 'cf' does not read 'untary'; it reads ['unitary']"),
+    ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-povm", "kraus": [], "basis": [], "feedback": []}},
+     "stage 'mf-povm' does not read 'basis', 'feedback'; it reads ['kraus']"),
+    ({"scenario": "clean-cooling-compare", "stage": {"type": "cf", "unitary": [[1, 0], [0, 1]], "x": 1}},
+     "stage 'cf' does not read 'x'"),
+    ({"scenario": "cf-clean", "stage": {"type": "cff", "unitary": [[0, 1], [1, 0]]}},
+     "a stage needs a type from ['cf', 'mf-povm', 'mf-projective'], got {'type': 'cff'"),
+    ({"scenario": "cf-clean", "stage": 5}, "a stage needs a type from ['cf', 'mf-povm', 'mf-projective'], got 5"),
+    ({"scenario": "cf-clean", "stage": None}, "a stage needs a type from ['cf', 'mf-povm', 'mf-projective'], got None"),
+], ids=["cf-wrong-d", "cf-not-unitary", "cf-no-unitary", "mf-projective-too-few", "mf-projective-not-a-list",
+        "cf-stray-key", "mf-povm-stray-keys", "compare-stray-key", "unknown-type", "not-an-object", "null"])
 @pytest.mark.parametrize("command", [["steady"], ["sweep", "--sweep", "tau=0.1:0.9:3"]], ids=["steady", "sweep"])
 def test_bad_config_stage_exits_2(capsys, tmp_path, config, message, command):
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import sys
@@ -5,16 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from qfeedback import oracles
+from qfeedback import loop, oracles
 from qfeedback.linops import max_abs, partial_trace
 from qfeedback.loop import (
     MAX_DIM,
     CoherentStage,
     DegenerateSteadyStateError,
+    EnsembleResult,
     FeedbackProtocol,
     PovmStage,
     ProjectiveStage,
     _branch_liouvillians,
+    _entropy_batch,
+    _hygiene_batch,
+    _traces,
     all_to_target_stage,
     branch_liouvillians,
     build_superoperator,
@@ -26,8 +31,10 @@ from qfeedback.loop import (
     stack,
     steady_state,
     steady_states,
+    unstack,
 )
 from qfeedback.metrics import purity, von_neumann_entropy
+from qfeedback.scenarios import build_protocols, resolve_config
 from qfeedback.quantum import (
     amplitude_damping_channel,
     depolarizing_channel,
@@ -284,9 +291,50 @@ def test_ensemble_matches_single_trajectories():
         assert max_abs(ens.final_states[i] - final) <= 1e-13
 
 
+def _ensemble_row_by_row(rho0, p, steps, n_traj, seed, check_majorization=False):
+    """sample_ensemble without the distinct-value step: every step contracts,
+    cleans and checks each row on its own, with the library's own batch
+    helpers."""
+    d, n_out = p.d, len(p.L)
+    uniforms = np.stack([np.random.default_rng((seed, i)).random(steps) for i in range(n_traj)])
+    idx = np.arange(n_traj)
+    vecs = np.broadcast_to(stack(rho0), (n_traj, d * d))
+    mids = _branch_liouvillians(p, 1.0)
+    out = EnsembleResult(*(np.empty((n_traj, steps), dtype) for dtype in (np.int64, float, float, float)),
+                         final_states=None)
+    worst = -np.inf
+    for t in range(steps):
+        outs = np.einsum("jab,nb->jna", p.L, vecs)
+        probs = _traces(outs, d).T
+        cum = np.cumsum(probs, axis=1)
+        u = uniforms[:, t] * cum[:, -1]
+        chosen = np.clip((u[:, None] >= cum).sum(axis=1), 0, n_out - 1)
+        pj = probs[idx, chosen]
+        states, spectra = _hygiene_batch(unstack(outs[chosen, idx] / pj[:, None], d))
+        rho_j = unstack(np.einsum("nab,nb->na", mids[chosen], vecs) / pj[:, None], d)
+        w_mid = np.sort(np.linalg.eigvalsh(0.5 * (rho_j + np.conj(np.swapaxes(rho_j, 1, 2)))), axis=1)[:, ::-1]
+        bound = p.tau2 * w_mid
+        bound[:, 0] += 1.0 - p.tau2
+        viol = np.cumsum(np.sort(spectra, axis=1)[:, ::-1], axis=1) - np.cumsum(bound, axis=1)
+        worst = max(worst, float(viol.max()))
+        out.outcomes[:, t], out.probabilities[:, t] = chosen, pj
+        out.entropies[:, t], out.rho11[:, t] = _entropy_batch(spectra, d), states[:, 1, 1].real
+        vecs = stack(states)
+    out.final_states = states
+    out.majorization_violation = worst if check_majorization else None
+    return out
+
+
+def assert_same_ensemble(a, b):
+    for f in dataclasses.fields(EnsembleResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype, f.name
+
+
 def test_ensemble_thread_invariance():
     p = mf_cooling(2, 0.5, 0.5)
     a = sample_ensemble(maximally_mixed(2), p, 15, 31, seed=5, threads=1)
+    assert_same_ensemble(a, _ensemble_row_by_row(maximally_mixed(2), p, 15, 31, seed=5))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the workers fill disjoint rows of shared arrays: switch threads often
     try:
@@ -301,6 +349,35 @@ def test_ensemble_thread_invariance():
         assert np.array_equal(a.outcomes[:k], c.outcomes)
         assert np.array_equal(a.probabilities[:k], c.probabilities)
         assert np.array_equal(a.final_states[:k], c.final_states)
+
+
+@pytest.mark.parametrize("check_majorization", [False, True], ids=["plain", "majorization"])
+@pytest.mark.parametrize("n_traj", [1, 7, 31])
+@pytest.mark.parametrize("scenario, d, merges", [("mf-clean-cooling", 2, True), ("ad-mf", 2, False),
+                                                 ("mf-noisy-cooling", 3, False)])
+def test_distinct_value_step_equals_a_step_per_row(monkeypatch, scenario, d, merges, n_traj, check_majorization):
+    """The ensemble steps each distinct state and (state, outcome) pair once:
+    its arrays are bit for bit those of a step per row. mf-clean-cooling
+    merges states at every step; at d=3 more than half the states soon differ
+    and the step goes back to one row at a time for good."""
+    calls, distinct = [], loop._distinct_rows
+
+    def distinct_rows(x):
+        rows, inverse = distinct(x)
+        calls.append((len(x), len(rows)))
+        return rows, inverse
+
+    monkeypatch.setattr(loop, "_distinct_rows", distinct_rows)
+    p = build_protocols(resolve_config({}, {"scenario": scenario, "d": d, "tau": 0.3, "lambda": 0.7, "gamma": 0.4}))
+    rho0, steps = maximally_mixed(d), 15
+    reference = _ensemble_row_by_row(rho0, p["mf"], steps, n_traj, seed=5, check_majorization=check_majorization)
+    for threads in (3, 1):
+        calls.clear()
+        ens = sample_ensemble(rho0, p["mf"], steps, n_traj, seed=5, threads=threads,
+                              check_majorization=check_majorization)
+        assert_same_ensemble(ens, reference)
+    if n_traj == 31:  # the calls of the one-worker run
+        assert (len(calls) == steps and any(m < k for k, m in calls)) if merges else len(calls) < steps
 
 
 @pytest.mark.parametrize("steps, n_traj", [(0, 5), (5, 0), (-1, 5)])
