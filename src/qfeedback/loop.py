@@ -402,11 +402,9 @@ def _run_chunk(
     """Fill rows `rows` of `out` with trajectories rows.start..rows.stop-1 and
     return their worst majorisation violation (-inf when unchecked).
 
-    Every step draws outcome j by inverse CDF over p_j = vec(1)ᵀ L_j vec ρ.
-    The step works on distinct values: the contraction with L runs once per
-    distinct state, and the hygiene once per distinct (state, outcome) pair,
-    until a step starts from more distinct states than half the rows; from
-    then on every row is stepped on its own.
+    Every step draws outcome j by inverse CDF over p_j = vec(1)ᵀ L_j vec ρ,
+    on distinct values until the chunk is more than half distinct (see the
+    module docstring).
     """
     d, steps, n_out = p.d, out.outcomes.shape[1], len(p.L)
     # counter-based per-trajectory streams: ensembles are reproducible and

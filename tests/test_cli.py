@@ -392,7 +392,8 @@ def test_tau_axis_with_tau1_or_tau2_set_exits_2(capsys, tmp_path):
     assert "cannot sweep tau with tau1 and tau2 set" in capsys.readouterr().err
     # a tau flag sets the coupling that a tau1 or tau2 axis leaves
     for axis in ("tau1", "tau2"):
-        assert cli.main(["sweep", "--scenario", "clean-cooling-compare", "--tau", "0.2", "--sweep", f"{axis}=0.3:0.5:2"]) == 0
+        assert cli.main(["sweep", "--scenario", "clean-cooling-compare", "--tau", "0.2",
+                         "--sweep", f"{axis}=0.3:0.5:2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
 

@@ -34,7 +34,6 @@ from qfeedback.loop import (
     unstack,
 )
 from qfeedback.metrics import purity, von_neumann_entropy
-from qfeedback.scenarios import build_protocols, resolve_config
 from qfeedback.quantum import (
     amplitude_damping_channel,
     depolarizing_channel,
@@ -47,6 +46,7 @@ from qfeedback.quantum import (
     random_kraus_channel,
     random_unitary,
 )
+from qfeedback.scenarios import build_protocols, resolve_config
 
 
 def mf_cooling(d, tau, lam, eta=None):
@@ -325,7 +325,7 @@ def _ensemble_row_by_row(rho0, p, steps, n_traj, seed, check_majorization=False)
     return out
 
 
-def assert_same_ensemble(a, b):
+def _assert_same_ensemble(a, b):
     for f in dataclasses.fields(EnsembleResult):
         x, y = getattr(a, f.name), getattr(b, f.name)
         assert np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype, f.name
@@ -334,7 +334,7 @@ def assert_same_ensemble(a, b):
 def test_ensemble_thread_invariance():
     p = mf_cooling(2, 0.5, 0.5)
     a = sample_ensemble(maximally_mixed(2), p, 15, 31, seed=5, threads=1)
-    assert_same_ensemble(a, _ensemble_row_by_row(maximally_mixed(2), p, 15, 31, seed=5))
+    _assert_same_ensemble(a, _ensemble_row_by_row(maximally_mixed(2), p, 15, 31, seed=5))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the workers fill disjoint rows of shared arrays: switch threads often
     try:
@@ -375,7 +375,7 @@ def test_distinct_value_step_equals_a_step_per_row(monkeypatch, scenario, d, mer
         calls.clear()
         ens = sample_ensemble(rho0, p["mf"], steps, n_traj, seed=5, threads=threads,
                               check_majorization=check_majorization)
-        assert_same_ensemble(ens, reference)
+        _assert_same_ensemble(ens, reference)
     if n_traj == 31:  # the calls of the one-worker run
         assert (len(calls) == steps and any(m < k for k, m in calls)) if merges else len(calls) < steps
 
