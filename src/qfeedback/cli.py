@@ -68,11 +68,11 @@ def _write_csv(path: str | None, header: list[str], blocks) -> None:
 
 def _column_cells(conversion: str, column) -> tuple:
     """The conversion and the cells (a function of a row slice) of one CSV column. A numpy column of
-    8-byte values of which at most half are distinct has each distinct value formatted once, keyed on
-    its bits (so -0.0 and 0.0 stay apart), and its cells are that text."""
+    which at most half the values are distinct has each distinct value formatted once, keyed on its
+    bits (so -0.0 and 0.0 stay apart), and its cells are that text."""
     if not isinstance(column, np.ndarray):
         return conversion, column.__getitem__
-    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    keys, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
     if 2 * len(keys) > len(column):
         return conversion, lambda rows: column[rows].tolist()
     text = np.array([conversion % x for x in keys.view(column.dtype).tolist()], dtype=object)
@@ -106,12 +106,9 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {p.name: getattr(args, p.name) for p in PARAMETERS} | {"scenario": args.scenario}
-
-
-def _resolved(args: argparse.Namespace) -> dict:
-    return resolve_config(_load_config(args.config), _overrides(args))
+def _resolved(args: argparse.Namespace, axes: tuple[str, ...] = ()) -> dict:
+    overrides = {p.name: getattr(args, p.name) for p in PARAMETERS}
+    return resolve_config(_load_config(args.config), overrides | {"scenario": args.scenario}, axes)
 
 
 def _threads(cfg: dict) -> int:
@@ -199,17 +196,13 @@ def _check_sweep_size(n_points: int) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    document = _load_config(args.config)
-    cfg = resolve_config(document, _overrides(args))
     axes = [_parse_axis(s) for s in (args.sweep or [])]
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 --sweep axes, got {len(axes)}")
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
         raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice")
-    fixed = [k for k in ("tau1", "tau2") if "tau" in names and (getattr(args, k) is not None or k in document)]
-    if fixed:  # each point's tau would replace them
-        raise ConfigError(f"cannot sweep tau with {' and '.join(fixed)} set (tau sets tau1 and tau2)")
+    cfg = _resolved(args, tuple(names))
     _check_sweep_size(math.prod(len(values) for _, values in axes))
     points = list(itertools.product(*(values for _, values in axes)))
 

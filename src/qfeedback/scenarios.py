@@ -92,17 +92,17 @@ PARAMETERS = (
 # the keys of a config document besides the parameters; `sweep` is accepted so that a sweep's sidecar
 # config can be read back, but the axes come from the command line and no resolved config holds it
 _CONFIG_KEYS = frozenset({p.name for p in PARAMETERS} | {"scenario", "eta", "stage", "sweep"})
-# the keys that each type of config `stage` reads besides `type`
-_STAGE_KEYS = {"cf": {"unitary"}, "mf-projective": {"feedback", "basis"}, "mf-povm": {"kraus"}}
 _ETA_KINDS = ("preset", "eta0", "matrix")
 
 
-def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
+def resolve_config(config: dict | None, overrides: dict | None = None, axes: tuple[str, ...] = ()) -> dict:
     """Merge the parameter defaults, the scenario's defaults, a config document
     and overrides (highest precedence). `tau` sets `tau1` and `tau2`: an
-    overriding `tau` replaces both, so it cannot come with either of them. An
-    `eta0` given without an `eta` spec sets the spec `{"eta0": x}`, and that
-    spec sets `eta0`."""
+    overriding `tau` replaces both, so it cannot come with either of them, and
+    a `tau` among the sweep `axes` replaces both at every point, so it cannot
+    come with a `tau1` or `tau2` that differs from `tau`. An `eta0` given
+    without an `eta` spec sets the spec `{"eta0": x}`, and that spec sets
+    `eta0`."""
     config = dict(config or {})
     config.pop("sweep", None)
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
@@ -134,6 +134,9 @@ def resolve_config(config: dict | None, overrides: dict | None = None) -> dict:
     if "tau" in overrides:
         cfg["tau1"] = cfg["tau2"] = overrides["tau"]
     _validate_resolved(cfg)
+    fixed = [k for k in ("tau1", "tau2") if "tau" in axes and cfg[k] != cfg["tau"]]
+    if fixed:
+        raise ConfigError(f"cannot sweep tau with {' and '.join(fixed)} set (tau sets tau1 and tau2)")
     return cfg
 
 
@@ -159,12 +162,13 @@ def _validate_resolved(cfg: dict) -> None:
         if "stage" in cfg:
             stage = cfg["stage"]
             kind = stage.get("type") if isinstance(stage, dict) else None
-            if kind not in _STAGE_KEYS:
-                raise ConfigError(f"a stage needs a type from {sorted(_STAGE_KEYS)}, got {stage!r}")
-            stray = sorted(stage.keys() - _STAGE_KEYS[kind] - {"type"})
+            if kind not in _STAGE_TYPES:
+                raise ConfigError(f"a stage needs a type from {sorted(_STAGE_TYPES)}, got {stage!r}")
+            keys, _ = _STAGE_TYPES[kind]
+            stray = sorted(stage.keys() - {"type", *keys})
             if stray:
                 raise ConfigError(f"stage {kind!r} does not read {', '.join(map(repr, stray))}; "
-                                  f"it reads {sorted(_STAGE_KEYS[kind])}")
+                                  f"it reads {sorted(keys)}")
         eta = cfg.get("eta")
         if isinstance(eta, dict) and (len(eta) != 1 or next(iter(eta)) not in _ETA_KINDS):
             raise ConfigError(f"an eta spec needs exactly one of {', '.join(map(repr, _ETA_KINDS))}, got {eta!r}")
@@ -195,17 +199,21 @@ def parse_matrix(rows) -> np.ndarray:
         raise ConfigError(f"could not parse matrix: {exc}") from exc
 
 
+# each type of config `stage`: the keys it reads besides `type`, and its stage built from them
+_STAGE_TYPES = {
+    "cf": (("unitary",), lambda spec: CoherentStage(parse_matrix(spec["unitary"]))),
+    "mf-projective": (("feedback", "basis"), lambda spec: ProjectiveStage(
+        feedback=tuple(map(parse_matrix, spec["feedback"])),
+        basis=parse_matrix(spec["basis"]) if "basis" in spec else None)),
+    "mf-povm": (("kraus",), lambda spec: PovmStage(kraus=tuple(map(parse_matrix, spec["kraus"])))),
+}
+
+
 def _stage_from_config(spec: dict, d: int):
-    """The in-loop stage of a config `stage` object, checked against d."""
-    kind = spec.get("type")
+    """The in-loop stage of a config `stage` object whose type resolve_config checked, checked against d."""
+    kind = spec["type"]
     try:
-        if kind == "cf":
-            stage = CoherentStage(parse_matrix(spec["unitary"]))
-        elif kind == "mf-projective":
-            basis = parse_matrix(spec["basis"]) if "basis" in spec else None
-            stage = ProjectiveStage(feedback=tuple(parse_matrix(m) for m in spec["feedback"]), basis=basis)
-        else:  # "mf-povm": resolve_config checked the type
-            stage = PovmStage(kraus=tuple(parse_matrix(m) for m in spec["kraus"]))
+        stage = _STAGE_TYPES[kind][1](spec)
         stage.controller_ops(d)
     except ConfigError:
         raise

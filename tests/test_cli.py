@@ -168,10 +168,11 @@ def test_trajectories_csv_of_several_chunks_matches_per_cell_format(tmp_path):
 def test_chunked_csv_writer_matches_per_cell_format(tmp_path, n_rows):
     """Rows below, at and above one chunk; columns of few and of many distinct
     values (formatted once per distinct value, or cell by cell), with -0.0,
-    nan and inf cells."""
+    nan and inf cells, and 4-byte ints (np.arange's int on some platforms)."""
     rng = np.random.default_rng(n_rows)
     special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-300])
-    repeated_ints, distinct_ints = np.arange(n_rows) // 3, rng.integers(-2 ** 62, 2 ** 62, n_rows)
+    repeated_ints = np.arange(n_rows, dtype=np.int32) // 3
+    distinct_ints = rng.integers(-2 ** 62, 2 ** 62, n_rows)
     repeated_floats = rng.choice(special, n_rows)
     distinct_floats = np.where(rng.random(n_rows) < 0.2, rng.choice(special, n_rows), rng.normal(0, 1e3, n_rows))
     means = rng.random(n_rows // 2 + 1)
@@ -390,6 +391,12 @@ def test_tau_axis_with_tau1_or_tau2_set_exits_2(capsys, tmp_path):
     assert "config error: cannot sweep tau with tau2 set (tau sets tau1 and tau2)" in capsys.readouterr().err
     assert cli.main([*sweep, "--config", str(tmp_path / "cfg.json"), "--tau1", "0.3"]) == 2
     assert "cannot sweep tau with tau1 and tau2 set" in capsys.readouterr().err
+    # a tau1 and tau2 that follow tau, as a sweep's sidecar records them, are what each point replaces
+    (tmp_path / "cfg.json").write_text(json.dumps({"tau": 0.4, "tau1": 0.4, "tau2": 0.4}))
+    assert cli.main([*sweep, "--config", str(tmp_path / "cfg.json")]) == 0
+    followed = capsys.readouterr().out
+    assert cli.main(sweep) == 0
+    assert followed == capsys.readouterr().out
     # a tau flag sets the coupling that a tau1 or tau2 axis leaves
     for axis in ("tau1", "tau2"):
         assert cli.main(["sweep", "--scenario", "clean-cooling-compare", "--tau", "0.2",
@@ -466,7 +473,9 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
       "--seed", "3"], None),
     (["sweep", "--scenario", "bitflip-povm", "--tau", "0.4", "--sweep", "a=0:1:3", "--sweep", "b=0.2:0.8:2"], None),
     (["sweep", "--sweep", "eta0=0.1:0.9:3"], {"scenario": "eta-cooling-compare", "lambda": 0.6}),
-], ids=["steady", "steady-stage", "trajectories", "sweep", "sweep-eta0"])
+    (["sweep", "--scenario", "clean-cooling-compare", "--lambda", "0.5", "--sweep", "tau=0:1:5"], None),
+    (["sweep", "--sweep", "tau=0.1:0.9:3", "--sweep", "gamma=0.2:0.4:2"], {"scenario": "ad-compare", "tau": 0.3}),
+], ids=["steady", "steady-stage", "trajectories", "sweep", "sweep-eta0", "sweep-tau", "sweep-tau-config"])
 def test_sidecar_config_reproduces_the_output(capsys, tmp_path, argv, config):
     if config is not None:
         (tmp_path / "first.json").write_text(json.dumps(config))
