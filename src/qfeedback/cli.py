@@ -15,6 +15,10 @@ degenerate are left out of the CSV, named on stderr and listed under
 `degenerate` in the sidecar, and the sweep exits 3 after writing the other
 rows.
 
+`main` builds its argument parser once per process, on the first call, and
+runs the command by looking up the module's `cmd_<name>` function at each
+call.
+
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 degenerate steady state.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -253,37 +258,30 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output CSV path (writes a .meta.json sidecar)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qfeedback",
                                  description="collision-model quantum feedback simulator")
     ap.add_argument("--version", action="version", version=f"qfeedback {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("steady", help="steady-state report for a scenario")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_steady)
-
-    sp = sub.add_parser("trajectories", help="conditional trajectory ensemble CSV")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_trajectories)
-
+    _add_common(sub.add_parser("steady", help="steady-state report for a scenario"))
+    _add_common(sub.add_parser("trajectories", help="conditional trajectory ensemble CSV"))
     sp = sub.add_parser("sweep", help="sweep 1-2 parameters, long-format CSV")
     _add_common(sp)
     sp.add_argument("--sweep", action="append", metavar="NAME=LO:HI:COUNT",
                     help="axis spec, repeatable (max twice)")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("validate", help="run the oracle and property check table")
     sp.add_argument("--points", type=int, default=100, help="points per oracle grid")
     sp.add_argument("--only", help="run only checks whose name contains this substring")
-    sp.set_defaults(func=cmd_validate)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

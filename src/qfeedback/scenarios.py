@@ -11,9 +11,9 @@ scenario resolves a flat config dict (parameter defaults < scenario defaults
 < config file < command-line overrides) into one or more
 `FeedbackProtocol`s and computes its metric row, with the oracle values
 wherever the oracle describes the protocol that was built. `metric_rows`
-computes the rows of many configs (a sweep) as one batch: noise, η and stages
-are built once per distinct non-tau configuration, and each protocol label is
-built and solved as one stack.
+computes the rows of many configs (a sweep) as one batch: the noise, η and the
+stages are each built once per distinct value of the config keys they read,
+and each protocol label is built and solved as one stack.
 """
 
 from __future__ import annotations
@@ -169,6 +169,9 @@ def _validate_resolved(cfg: dict) -> None:
             if stray:
                 raise ConfigError(f"stage {kind!r} does not read {', '.join(map(repr, stray))}; "
                                   f"it reads {sorted(keys)}")
+            if len(SCENARIOS[cfg["scenario"]].stages) > 1:
+                raise ConfigError(f"scenario {cfg['scenario']!r} compares several protocols: "
+                                  f"a config stage applies only to single-protocol scenarios")
         eta = cfg.get("eta")
         if isinstance(eta, dict) and (len(eta) != 1 or next(iter(eta)) not in _ETA_KINDS):
             raise ConfigError(f"an eta spec needs exactly one of {', '.join(map(repr, _ETA_KINDS))}, got {eta!r}")
@@ -378,15 +381,12 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-def _overrides_stage(cfg: dict, scenario: Scenario) -> bool:
-    """A config `stage` replaces the in-loop stage of a single-protocol scenario."""
-    return "stage" in cfg and len(scenario.stages) == 1
-
-
 def _stages(cfg: dict) -> dict:
-    """The in-loop stage of each protocol label of a resolved config."""
+    """The in-loop stage of each protocol label of a resolved config. A config
+    `stage` (resolve_config admits one only for a single-protocol scenario)
+    replaces the scenario's own."""
     scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
-    override = _stage_from_config(cfg["stage"], d) if _overrides_stage(cfg, scenario) else None
+    override = _stage_from_config(cfg["stage"], d) if "stage" in cfg else None
     if scenario.qubit_only and d != 2:
         raise ConfigError(f"scenario {cfg['scenario']!r} is qubit-only (d=2)")
     return {label: override or stage(cfg) for label, stage in scenario.stages.items()}
@@ -413,21 +413,41 @@ def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[
     }
 
 
-def _point_parts(cfg: dict, built: dict) -> tuple:
+def _stage_ops(cfg: dict) -> dict[str, np.ndarray]:
+    """Each protocol label's stacked controller operators."""
+    return {label: np.stack(stage.controller_ops(cfg["d"])) for label, stage in _stages(cfg).items()}
+
+
+def _noise_matrix(cfg: dict) -> np.ndarray:
+    """The Liouville matrix of the scenario's noise channel."""
+    scenario = SCENARIOS[cfg["scenario"]]
+    noise = scenario.noise(cfg)
+    if scenario.kind == "bitflip":
+        _check_bitflip_protocol(cfg["d"], noise)
+    return noise_liouville(noise)
+
+
+# The parts of a sweep point: the config keys each reads, and its builder. They are built in this
+# order, so a stage's refusals (a qubit-only scenario at d > 2) come before the bit-flip noise check.
+_PARTS = {
+    "ops": (tuple(sorted(_CONFIG_KEYS - {"sweep", "tau", "tau1", "tau2", "lambda", "gamma"})), _stage_ops),
+    "noise": (("scenario", "d", "lambda", "gamma"), _noise_matrix),
+    "eta": (("d", "eta", "eta0"), _eta),
+}
+
+
+def _point_parts(cfg: dict, built: dict) -> dict:
     """η, the noise Liouville matrix and each protocol label's stacked
-    controller operators for one config, built once per distinct non-tau
-    configuration: `built` holds the parts already built, keyed by the rest
-    of the config."""
-    key = repr([(k, v) for k, v in cfg.items() if k not in ("tau", "tau1", "tau2")])
-    if key not in built:
-        scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
-        stages = _stages(cfg)
-        noise, eta = scenario.noise(cfg), _eta(cfg)
-        if scenario.kind == "bitflip":
-            _check_bitflip_protocol(d, noise)
-        built[key] = (eta, noise_liouville(noise),
-                      {label: np.stack(stage.controller_ops(d)) for label, stage in stages.items()})
-    return built[key]
+    controller operators (`ops`) for one config. Each part is built once per
+    distinct value of the config keys it reads: `built` holds the parts
+    already built, keyed by part name and those values."""
+    parts = {}
+    for name, (keys, build) in _PARTS.items():
+        key = (name, repr([cfg.get(k) for k in keys]))
+        if key not in built:
+            built[key] = build(cfg)
+        parts[name] = built[key]
+    return parts
 
 
 def _block_columns(cfgs: list[dict], built: dict) -> tuple[dict[str, np.ndarray],
@@ -439,11 +459,11 @@ def _block_columns(cfgs: list[dict], built: dict) -> tuple[dict[str, np.ndarray]
     scenario, d = SCENARIOS[cfgs[0]["scenario"]], cfgs[0]["d"]
     parts = [_point_parts(cfg, built) for cfg in cfgs]
     tau1, tau2 = [cfg["tau1"] for cfg in cfgs], [cfg["tau2"] for cfg in cfgs]
-    eta, noise = np.stack([part[0] for part in parts]), np.stack([part[1] for part in parts])
+    eta, noise = np.stack([part["eta"] for part in parts]), np.stack([part["noise"] for part in parts])
     columns: dict[str, np.ndarray] = {}
     errors: list[DegenerateSteadyStateError | None] = [None] * len(cfgs)
     for label in scenario.stages:
-        ops = np.stack([part[2][label] for part in parts])
+        ops = np.stack([part["ops"][label] for part in parts])
         sops = superoperators(branch_liouvillians(tau1, tau2, eta, ops, noise), d)
         if scenario.kind == "bitflip":  # the figure of merit is the Haar-averaged fidelity, not a steady state
             columns["haar_fidelity"] = np.array([haar_avg_bitflip_fidelity(Superoperator(d, m)) for m in sops])
@@ -466,7 +486,7 @@ def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadySta
     DegenerateSteadyStateError in place of a row."""
     d = cfgs[0]["d"]
     built: dict = {}  # the first point's parts size the blocks, and the first block reuses them
-    n_outcomes = max(len(ops) for ops in _point_parts(cfgs[0], built)[2].values())
+    n_outcomes = max(len(ops) for ops in _point_parts(cfgs[0], built)["ops"].values())
     size = max(1, MAX_BLOCK_BYTES // (16 * n_outcomes * d ** 4))
     rows = []
     for start in range(0, len(cfgs), size):
@@ -482,7 +502,7 @@ def _oracle_applies(cfg: dict, scenario: Scenario) -> bool:
     scenario takes any eta0)."""
     spec, own = cfg.get("eta"), scenario.defaults["eta"]
     own_eta = spec == own or ("eta0" in own and isinstance(spec, dict) and spec.keys() == {"eta0"})
-    return cfg["tau1"] == cfg["tau2"] and own_eta and not _overrides_stage(cfg, scenario)
+    return cfg["tau1"] == cfg["tau2"] and own_eta and "stage" not in cfg
 
 
 # oracle column -> the simulated column that `oracle_dev` compares it with

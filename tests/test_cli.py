@@ -609,6 +609,21 @@ def test_bad_config_stage_exits_2(capsys, tmp_path, config, message, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", [name for name, s in sorted(SCENARIOS.items()) if len(s.stages) > 1])
+@pytest.mark.parametrize("command", [["steady"], ["sweep", "--sweep", "tau=0.5:0.5:1"]], ids=["steady", "sweep"])
+def test_config_stage_on_a_compare_scenario_exits_2(monkeypatch, capsys, tmp_path, scenario, command):
+    # a compare scenario's stages are its own: one config stage cannot replace them
+    monkeypatch.setattr(cli, "build_protocols", lambda cfg: pytest.fail("a protocol was built"))
+    monkeypatch.setattr(cli, "metric_rows", lambda cfgs: pytest.fail("a row was computed"))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"scenario": scenario, "stage": {"type": "cf", "unitary": [[0, 1], [1, 0]]}}))
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(scenario) in err
+    assert "a config stage applies only to single-protocol scenarios" in err
+    assert not out.exists()
+
+
 def _sweep_rows(*argv) -> list[dict]:
     r = run_cli("sweep", *argv)
     assert r.returncode == 0, r.stderr
@@ -721,6 +736,53 @@ def test_sweep_rows_equal_pointwise_metric_rows(monkeypatch, config, axes, block
             assert row == metric_row(point_cfg)  # exact, cell by cell
 
 
+def test_sweep_parts_are_built_once_per_value_of_the_keys_they_read(monkeypatch):
+    from qfeedback import loop, scenarios
+
+    ops_calls, noise_calls = [], []
+    for stage in (loop.CoherentStage, loop.ProjectiveStage):
+        monkeypatch.setattr(stage, "controller_ops", lambda self, d, build=stage.controller_ops:
+                            ops_calls.append(type(self).__name__) or build(self, d))
+    depolarizing = scenarios.depolarizing_channel
+    monkeypatch.setattr(scenarios, "depolarizing_channel", lambda d, lam: noise_calls.append(lam) or depolarizing(d, lam))
+    # the stages do not read gamma: one build per label along a gamma axis
+    cfg = resolve_config({"scenario": "ad-compare"})
+    scenarios.metric_rows([resolve_config(cfg, {"gamma": x}) for x in np.linspace(0.1, 0.9, 5)])
+    assert sorted(ops_calls) == ["CoherentStage", "CoherentStage", "ProjectiveStage"]
+    # the noise does not read eta0: one build along an eta0 axis
+    cfg = resolve_config({"scenario": "eta-cooling-compare"})
+    scenarios.metric_rows([resolve_config(cfg, {"eta0": x}) for x in np.linspace(0.0, 1.0, 5)])
+    assert noise_calls == [cfg["lambda"]]
+
+
+# a value of every config key, different from each scenario's own
+_OTHER_VALUES = {"scenario": "cf-clean", "d": 3, "tau": 0.3, "tau1": 0.35, "tau2": 0.8, "lambda": 0.8, "gamma": 0.6,
+                 "eta0": 0.2, "chi": 0.7, "phi1": 0.4, "a": 0.3, "b": 0.9, "seed": 3, "steps": 7, "ntraj": 5,
+                 "threads": 2, "eta": {"matrix": [[0.3, 0], [0, 0.7]]},
+                 "stage": {"type": "cf", "unitary": [[0, [0, 1]], [[0, 1], 0]]}}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_each_sweep_part_reads_only_its_declared_keys(name):
+    """A part is reused at every point that agrees on its declared keys, so a
+    key that it reads but does not declare would leave a stale part: changing
+    any other key must give the same part."""
+    from qfeedback import scenarios
+
+    assert _OTHER_VALUES.keys() == scenarios._CONFIG_KEYS - {"sweep"}
+    cfg = resolve_config({"scenario": name})
+    other = _OTHER_VALUES | ({"scenario": "mf-noisy-cooling"} if name == "cf-clean" else {})
+    for part, (keys, build) in scenarios._PARTS.items():
+        want = build(cfg)
+        for key in sorted(other.keys() - set(keys)):
+            assert cfg.get(key) != other[key], key
+            got = build(cfg | {key: other[key]})
+            if part == "ops":
+                assert want.keys() == got.keys() and all(np.array_equal(want[k], got[k]) for k in want), key
+            else:
+                assert np.array_equal(want, got), (part, key)
+
+
 def test_sweep_takes_one_haar_average_per_bitflip_point(monkeypatch, capsys):
     from qfeedback import scenarios
 
@@ -776,3 +838,43 @@ def test_validate_points_below_one_exits_2(capsys, points):
 def test_validate_unknown_filter_exits_2():
     r = run_cli("validate", "--only", "zzz-no-such-check")
     assert r.returncode == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv,code", [("help", ["--help"], 0), ("steady_help", ["steady", "--help"], 0),
+                                            ("version", ["--version"], 0), ("usage_error", ["sweep", "--d", "x"], 2)])
+def test_parser_output_is_the_same_on_every_call(monkeypatch, capsys, name, argv, code):
+    """`main` builds its parser once per process: the first and the second call
+    print the bytes of a parser built per call (the goldens, at 80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    golden = (GOLDEN / f"{name}.txt").read_text()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ((golden, "") if code == 0 else ("", golden))
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # the benchmark's tracer rebinds cli.cmd_* after the parser has been built
+    assert cli.main(["steady", "--scenario", "mf-noisy-cooling"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_steady", lambda args: calls.append(args.scenario) or 0)
+    assert cli.main(["steady", "--scenario", "cf-clean"]) == 0
+    assert calls == ["cf-clean"]
+
+
+def test_in_process_sweeps_see_only_their_own_axes(tmp_path):
+    for i, axes in enumerate([["tau=0:1:3"], ["lambda=0.2:1:2", "tau1=0.1:0.9:2"], ["eta0=0:1:2"]]):
+        out = tmp_path / f"s{i}.csv"
+        argv = ["sweep", "--scenario", "mf-noisy-cooling", *itertools.chain(*(("--sweep", a) for a in axes))]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        names = [axis.split("=")[0] for axis in axes]
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",")[:len(names) + 1] == [*names, "alpha0"]
+        assert len(rows) == math.prod(int(axis.rsplit(":", 1)[1]) for axis in axes)
+        assert json.loads((tmp_path / f"s{i}.csv.meta.json").read_text())["config"]["sweep"] == axes

@@ -380,6 +380,19 @@ def test_distinct_value_step_equals_a_step_per_row(monkeypatch, scenario, d, mer
         assert (len(calls) == steps and any(m < k for k, m in calls)) if merges else len(calls) < steps
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_hygiene_path_is_the_one_numpy_chooses(n, d):
+    """The hygiene contraction runs on a fixed path: if numpy would now choose
+    another, this fails rather than the ensemble's bits changing silently."""
+    rng = np.random.default_rng(n * d)
+    v = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    w = rng.random((n, d))
+    operands = ("nij,nj,nkj->nik", v, w, v.conj())
+    assert np.einsum_path(*operands, optimize=True)[0] == loop._HYGIENE_PATH
+    assert np.array_equal(np.einsum(*operands, optimize=loop._HYGIENE_PATH), np.einsum(*operands, optimize=True))
+
+
 @pytest.mark.parametrize("steps, n_traj", [(0, 5), (5, 0), (-1, 5)])
 def test_empty_ensemble_is_refused(steps, n_traj):
     with pytest.raises(ValueError, match="at least 1"):
