@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from . import linops, metrics, oracles, quantum, weaklimit
+from . import metrics, oracles, quantum, weaklimit
 from .loop import (
     CoherentStage,
     DegenerateSteadyStateError,
@@ -21,7 +21,6 @@ from .loop import (
 
 __all__ = [
     "__version__",
-    "linops",
     "quantum",
     "metrics",
     "oracles",

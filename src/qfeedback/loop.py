@@ -36,18 +36,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import HERMITICITY_TOL, hermitize, max_abs
 from .quantum import (
+    HERMITICITY_TOL,
     KrausChannel,
     check_density_matrix,
     clean_state,
+    hermitize,
     ket,
+    max_abs,
     unitary_mapping,
 )
 
 PROBABILITY_FLOOR = 1e-15
-# Joint system-controller dimension d² <= 256 (the linops contract). The
-# branch stack L holds J·d⁴ complex entries: 16.8 MB at d = 16 with J = d.
+# Joint system-controller dimension d² <= 256. The branch stack L holds
+# J·d⁴ complex entries: 16.8 MB at d = 16 with J = d.
 MAX_DIM = 16
 # A batch of protocols is built and solved in blocks whose L stacks hold at
 # most this many bytes (at least one protocol per block).
@@ -63,7 +65,7 @@ def _check_unitary(u: np.ndarray, d: int, what: str) -> np.ndarray:
     if u.shape != (d, d):
         raise ValueError(f"{what} must be {d}x{d}, got {u.shape}")
     dev = max_abs(u.conj().T @ u - np.eye(d))
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not unitary: max|U†U - 1| = {dev:.3e}")
     return u
 
@@ -152,6 +154,8 @@ class FeedbackProtocol:
         if self.noise.dim != d:
             raise ValueError(f"noise channel dim {self.noise.dim} != {d}")
         object.__setattr__(self, "eta", check_density_matrix(self.eta, what="controller reset state"))
+        if self.eta.shape != (d, d):
+            raise ValueError(f"controller reset state shape {self.eta.shape} != ({d},{d})")
         object.__setattr__(self, "L", _branch_liouvillians(self, self.tau2))  # checks tau1 and tau2
 
     @property

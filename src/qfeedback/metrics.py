@@ -1,10 +1,9 @@
-"""Figures of merit: entropies, overlap fidelity, and the Haar-averaged
-fidelity of the in-loop bit-flip task.
+"""Figures of merit: entropies, purity, and the Haar-averaged fidelity of
+the in-loop bit-flip task.
 
 The Haar average is evaluated by deterministic tensor quadrature
 (Gauss-Legendre in cos(chi), uniform trapezoid in the periodic azimuth), which
-converges to machine precision for these low-degree integrands. A Monte-Carlo
-sampler over Haar-random qubit states is provided as a cross-check only.
+converges to machine precision for these low-degree integrands.
 """
 
 from __future__ import annotations
@@ -38,16 +37,6 @@ def purity(rho: np.ndarray):
     rho = np.asarray(rho)
     tr = np.trace(rho @ rho, axis1=-2, axis2=-1).real
     return float(tr) if rho.ndim == 2 else tr
-
-
-def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
-    """<psi|rho|psi> for a normalised state vector psi."""
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"psi must be normalised, got |psi| = {norm!r}")
-    rho = check_density_matrix(rho)
-    return float(np.real(psi.conj() @ rho @ psi))
 
 
 @functools.lru_cache(maxsize=16)
@@ -103,14 +92,3 @@ def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
     psi, w, n_phi = _bloch_states(nodes)
     per_polar = _bitflip_fidelities(sop, psi).reshape(nodes, n_phi).mean(axis=1)  # exact trapezoid on the circle
     return float(0.5 * np.sum(w * per_polar))
-
-
-def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
-    """Monte-Carlo cross-check of the quadrature: Haar qubit states drawn as
-    normalised pairs of standard complex Gaussians."""
-    if p.d != 2:
-        raise ValueError("the bit-flip benchmark is qubit-only")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
-    psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return float(_bitflip_fidelities(build_superoperator(p), psi).mean())

@@ -19,6 +19,12 @@ def _check_range(**params: float) -> None:
             raise ValueError(f"{name} must be in [0,1], got {x}")
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, or NaN at den = 0, which the formulas below reach only where the protocol's
+    cycle is the identity and so has no unique steady state."""
+    return num / den if den else math.nan
+
+
 def mf_noisy_steady(d: int, tau: float, lam: float) -> list[float]:
     """Steady spectrum (descending) of measurement feedback cooling with a
     maximally mixed controller: measure, re-prepare in the dominant state.
@@ -63,16 +69,13 @@ def eta_entropies(tau: float, lam: float, eta0: float) -> tuple[float, float]:
 
     The MF side re-prepares the controller in its dominant eigenvector, so the
     formula is evaluated at max(eta0, 1-eta0); the CF side is the do-nothing
-    loop, symmetric in eta0 <-> 1-eta0.
+    loop, symmetric in eta0 <-> 1-eta0. A side with no unique steady state is NaN.
     """
     _check_range(tau=tau, lam=lam, eta0=eta0)
     e = max(eta0, 1.0 - eta0)
-    s_mf = 0.5 - (tau - 1.0) ** 2 * (tau * (2.0 * e - 1.0) + 1.0) ** 2 / (
-        2.0 * (tau * tau * lam - 1.0) ** 2
-    )
-    s_cf = 0.5 - 8.0 * tau * tau * (tau - 1.0) ** 2 * (1.0 - 2.0 * eta0) ** 2 / (
-        (1.0 - 2.0 * tau) ** 2 * lam - 1.0
-    ) ** 2
+    s_mf = 0.5 - _ratio((tau - 1.0) ** 2 * (tau * (2.0 * e - 1.0) + 1.0) ** 2, 2.0 * (tau * tau * lam - 1.0) ** 2)
+    s_cf = 0.5 - _ratio(8.0 * tau * tau * (tau - 1.0) ** 2 * (1.0 - 2.0 * eta0) ** 2,
+                        ((1.0 - 2.0 * tau) ** 2 * lam - 1.0) ** 2)
     return s_mf, s_cf
 
 
@@ -109,12 +112,13 @@ def ad_occupations(tau: float, gamma: float) -> tuple[float, float, float, float
 
     The threshold tau* = X/4 with X = (-7g + sqrt(g(17g-24)+16) + 4)/(2-2g)
     is the root of r_chi0(tau) = r_mf(tau) in tau; above it the do-nothing
-    CF loop holds more excited-state population than the MF protocol.
+    CF loop holds more excited-state population than the MF protocol. An
+    occupation with no unique steady state is NaN.
     """
     _check_range(tau=tau, gamma=gamma)
-    r_chi0 = 2.0 * tau * (1.0 - tau) / (4.0 * (tau - 1.0) * (gamma - 1.0) * tau + gamma)
-    r_chipi2 = (1.0 - tau) / (2.0 * (gamma - 1.0) * tau - gamma + 2.0)
-    r_mf = (2.0 - tau * tau - tau) / (2.0 * (gamma - 1.0) * tau * tau + 2.0)
+    r_chi0 = _ratio(2.0 * tau * (1.0 - tau), 4.0 * (tau - 1.0) * (gamma - 1.0) * tau + gamma)
+    r_chipi2 = _ratio(1.0 - tau, 2.0 * (gamma - 1.0) * tau - gamma + 2.0)
+    r_mf = _ratio(2.0 - tau * tau - tau, 2.0 * (gamma - 1.0) * tau * tau + 2.0)
     if gamma < 1.0:
         x = gamma * (17.0 * gamma - 24.0) + 16.0
         crossover = 0.25 * (-7.0 * gamma + math.sqrt(x) + 4.0) / (2.0 - 2.0 * gamma)

@@ -1,9 +1,12 @@
-"""States, channels and the system-controller coupling used by the feedback cycle.
+"""States, channels, the system-controller coupling and the tolerance helpers
+used by the feedback cycle.
 
 Density matrices are plain complex ndarrays; `check_density_matrix` enforces
 the invariants (Hermitian within 1e-10, unit trace within 1e-10, eigenvalues
 above -1e-8). Channels are Kraus lists wrapped in `KrausChannel`, which
-enforces completeness on construction.
+enforces completeness on construction. `max_abs` is the entrywise norm most
+tolerances are stated in, and `hermitize` symmetrises a matrix or refuses it.
+Every check fails on NaN as well as on a deviation above its tolerance.
 """
 
 from __future__ import annotations
@@ -13,14 +16,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import HERMITICITY_TOL, hermitize, max_abs
-
+# Matrices whose deviation from Hermiticity exceeds this are rejected;
+# smaller deviations are silently symmetrised.
+HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 
 pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
 pauli_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def max_abs(m: np.ndarray) -> float:
+    """Entrywise max-norm, the norm used by most tolerances in this package."""
+    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+
+
+def hermitize(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Return (m + m†)/2, raising if m is further than `tol` from Hermitian or holds NaN.
+    A stack of matrices (..., n, n) is symmetrised matrix by matrix."""
+    m = np.asarray(m, dtype=complex)
+    m_dag = np.swapaxes(m, -1, -2).conj()
+    dev = max_abs(m - m_dag)
+    if not dev <= tol:
+        raise ValueError(f"matrix is not Hermitian: max|M - M†| = {dev:.3e} > {tol:.1e}")
+    return 0.5 * (m + m_dag)
 
 
 def ket(d: int, j: int) -> np.ndarray:
@@ -48,11 +68,11 @@ def check_density_matrix(rho: np.ndarray, what: str = "state") -> np.ndarray:
         raise ValueError(f"{what} must be a square matrix, got shape {rho.shape}")
     rho = hermitize(rho)
     tr = np.atleast_1d(np.trace(rho, axis1=-2, axis2=-1).real)
-    off = np.abs(tr - 1.0) > TRACE_TOL
+    off = ~(np.abs(tr - 1.0) <= TRACE_TOL)
     if off.any():
         raise ValueError(f"{what} has trace {tr[off][0]!r}, expected 1")
     wmin = float(np.linalg.eigvalsh(rho)[..., 0].min(initial=np.inf))
-    if wmin < EIG_FLOOR:
+    if not wmin >= EIG_FLOOR:
         raise ValueError(f"{what} has eigenvalue {wmin:.3e} below {EIG_FLOOR:.1e}")
     return rho
 
@@ -89,7 +109,7 @@ class KrausChannel:
                 raise ValueError(f"Kraus operator shape {k.shape} != ({self.dim},{self.dim})")
         comp = sum(k.conj().T @ k for k in ops)
         dev = max_abs(comp - np.eye(self.dim))
-        if dev > HERMITICITY_TOL:
+        if not dev <= HERMITICITY_TOL:
             raise ValueError(f"Kraus completeness violated: max|ΣK†K - 1| = {dev:.3e}")
         object.__setattr__(self, "kraus", ops)
 
@@ -133,49 +153,12 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
     return KrausChannel(2, (e0, e1))
 
 
-def reset_channel(d: int, target: int = 0) -> KrausChannel:
-    """Map every input to |target><target|; Kraus set {|target><j|}."""
-    ops = tuple(np.outer(ket(d, target), ket(d, j).conj()) for j in range(d))
-    return KrausChannel(d, ops)
-
-
-def apply_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    """Kraus sum sum_j K_j rho K_j†, symmetrised."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {ch.dim}")
-    out = sum(k @ rho @ k.conj().T for k in ch.kraus)
-    return hermitize(out, tol=np.inf)
-
-
-def depolarize(rho: np.ndarray, lam: float) -> np.ndarray:
-    """rho -> lam*rho + (1-lam)*1/d, evaluated directly (not via Kraus operators)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"noise parameter must be in [0,1], got {lam}")
-    rho = check_density_matrix(rho)
-    d = rho.shape[0]
-    return lam * rho + (1.0 - lam) * np.eye(d) / d
-
-
-def amplitude_damp(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Qubit amplitude damping applied directly to the matrix elements."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping strength must be in [0,1], got {gamma}")
-    rho = check_density_matrix(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("amplitude damping is defined for qubits only")
-    r = np.sqrt(1.0 - gamma)
-    return np.array(
-        [[rho[0, 0] + gamma * rho[1, 1], r * rho[0, 1]],
-         [r * rho[1, 0], (1.0 - gamma) * rho[1, 1]]]
-    )
-
-
 def swap_operator(d: int) -> np.ndarray:
     """The two-qudit swap S |a,b> = |b,a> on a d²-dimensional space."""
     return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d).astype(complex)
 
 
+# No package code calls partial_swap; it stays while perfbench/tracing.py traces it by name.
 def partial_swap(d: int, tau: float) -> np.ndarray:
     """Partial-swap coupling √τ·1 - i√(1-τ)·S, the system-controller interaction.
 
@@ -206,7 +189,7 @@ def controller_state(d: int, spec) -> np.ndarray:
     """Resolve a controller reset-state spec to a density matrix.
 
     Accepts "noisy" (maximally mixed), "clean" (|0><0|), a float eta0 in [0,1]
-    for the qubit diagonal family diag(eta0, 1-eta0), or an explicit matrix.
+    for the qubit diagonal family diag(eta0, 1-eta0), or an explicit d x d matrix.
     """
     if isinstance(spec, str):
         if spec == "noisy":
@@ -221,7 +204,10 @@ def controller_state(d: int, spec) -> np.ndarray:
         if not 0.0 <= eta0 <= 1.0:
             raise ValueError(f"eta0 must be in [0,1], got {eta0}")
         return np.diag([eta0, 1.0 - eta0]).astype(complex)
-    return check_density_matrix(np.asarray(spec, dtype=complex), what="controller state")
+    rho = np.asarray(spec, dtype=complex)
+    if rho.shape != (d, d):
+        raise ValueError(f"controller state must be {d}x{d}, got shape {rho.shape}")
+    return check_density_matrix(rho, what="controller state")
 
 
 def unitary_mapping(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

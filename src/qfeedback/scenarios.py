@@ -18,6 +18,7 @@ and each protocol label is built and solved as one stack.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -116,7 +117,7 @@ def resolve_config(config: dict | None, overrides: dict | None = None, axes: tup
     name = overrides.get("scenario", config.get("scenario"))
     if not name:
         raise ConfigError("no scenario given (set 'scenario' in the config or pass --scenario)")
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     both = [k for k in ("tau1", "tau2") if "tau" in overrides and k in overrides]
     if both:
@@ -137,6 +138,8 @@ def resolve_config(config: dict | None, overrides: dict | None = None, axes: tup
     fixed = [k for k in ("tau1", "tau2") if "tau" in axes and cfg[k] != cfg["tau"]]
     if fixed:
         raise ConfigError(f"cannot sweep tau with {' and '.join(fixed)} set (tau sets tau1 and tau2)")
+    if "eta0" in axes:  # the axis replaces the eta spec at every point, so no point would check it
+        _eta(cfg)
     return cfg
 
 
@@ -189,16 +192,20 @@ def _validate_resolved(cfg: dict) -> None:
 
 def _parse_complex(x) -> complex:
     if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {x!r}")
+        z = complex(x)
+    elif isinstance(x, (list, tuple)) and len(x) == 2:
+        z = complex(float(x[0]), float(x[1]))
+    else:
+        raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {x!r}")
+    if not cmath.isfinite(z):
+        raise ConfigError(f"matrix entries must be finite, got {x!r}")
+    return z
 
 
 def parse_matrix(rows) -> np.ndarray:
     try:
         return np.array([[_parse_complex(x) for x in row] for row in rows], dtype=complex)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"could not parse matrix: {exc}") from exc
 
 
@@ -240,7 +247,7 @@ def _eta(cfg: dict) -> np.ndarray:
         return controller_state(cfg["d"], parse_matrix(spec["matrix"]))
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
         raise ConfigError(f"bad eta spec {spec!r} at d={cfg['d']}: {exc}") from exc
 
 
@@ -485,13 +492,13 @@ def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadySta
     MAX_BLOCK_BYTES. A point whose steady state is degenerate gets its
     DegenerateSteadyStateError in place of a row."""
     d = cfgs[0]["d"]
-    built: dict = {}  # the first point's parts size the blocks, and the first block reuses them
+    built: dict = {}  # the parts built so far, shared by every block; the first point's parts size the blocks
     n_outcomes = max(len(ops) for ops in _point_parts(cfgs[0], built)["ops"].values())
     size = max(1, MAX_BLOCK_BYTES // (16 * n_outcomes * d ** 4))
     rows = []
     for start in range(0, len(cfgs), size):
         block = cfgs[start:start + size]
-        columns, errors = _block_columns(block, built if start == 0 else {})
+        columns, errors = _block_columns(block, built)
         rows += [error or _with_oracle(cfg, {key: float(column[i]) for key, column in columns.items()})
                  for i, (cfg, error) in enumerate(zip(block, errors))]
     return rows

@@ -68,28 +68,18 @@ def _worst(rows: list[dict[str, float]], *pairs: tuple[str, str]) -> float:
 
 # --- criterion 1: oracle equivalence grids -------------------------------
 
-def check_oracle_mf_noisy(points: int = 100, seed: int = 100) -> CheckResult:
+def _spectrum_grid(scenario: str, label: str, oracle, points: int, seed: int) -> CheckResult:
+    """The steady spectrum of protocol `label` of a scenario against its oracle spectrum, at random
+    d in {2, 3, 4} and tau, lambda in [0.03, 0.97]."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
         d = int(rng.integers(2, 5))
         tau, lam = rng.uniform(0.03, 0.97, 2)
-        rho, _ = steady_state(_scenario({"scenario": "mf-noisy-cooling", "d": d, "tau": tau, "lambda": lam})["mf"])
-        dev = np.max(np.abs(_spectrum(rho) - oracles.mf_noisy_steady(d, tau, lam)))
+        rho, _ = steady_state(_scenario({"scenario": scenario, "d": d, "tau": tau, "lambda": lam})[label])
+        dev = np.max(np.abs(_spectrum(rho) - oracle(d, tau, lam)))
         worst = max(worst, float(dev))
-    return _result("oracle-grid[mf_noisy_steady]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
-
-
-def check_oracle_cf_clean(points: int = 100, seed: int = 101) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(points):
-        d = int(rng.integers(2, 5))
-        tau, lam = rng.uniform(0.03, 0.97, 2)
-        rho, _ = steady_state(_scenario({"scenario": "cf-clean", "d": d, "tau": tau, "lambda": lam})["cf"])
-        dev = np.max(np.abs(_spectrum(rho) - oracles.cf_clean_steady(d, tau, lam)))
-        worst = max(worst, float(dev))
-    return _result("oracle-grid[cf_clean_steady]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
+    return _result(f"oracle-grid[{oracle.__name__}]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
 _ENTROPY_PAIRS = (("mf_entropy_linear", "oracle_s_mf"), ("cf_entropy_linear", "oracle_s_cf"))
@@ -210,8 +200,8 @@ def check_oracle_conditional(points: int = 100, seed: int = 107) -> CheckResult:
 def check_oracle_grids(points: int = 100) -> list[CheckResult]:
     """Criterion 1: every oracle matched by the simulator on a random grid."""
     subchecks = [
-        ("mf_noisy_steady", check_oracle_mf_noisy),
-        ("cf_clean_steady", check_oracle_cf_clean),
+        ("mf_noisy_steady", lambda points: _spectrum_grid("mf-noisy-cooling", "mf", oracles.mf_noisy_steady, points, 100)),
+        ("cf_clean_steady", lambda points: _spectrum_grid("cf-clean", "cf", oracles.cf_clean_steady, points, 101)),
         ("clean_qubit_entropies", check_oracle_clean_entropies),
         ("eta_entropies", check_oracle_eta_entropies),
         ("cf_clean_general_qubit", check_oracle_cf_general),

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import hermitize
 from .loop import FeedbackProtocol, InLoopStage, build_superoperator
-from .quantum import check_density_matrix, identity_channel, ket
+from .quantum import check_density_matrix, hermitize, identity_channel, ket
 
 
 def in_loop_map(eta: np.ndarray, stage: InLoopStage, d: int) -> np.ndarray:

@@ -442,7 +442,14 @@ def test_config_with_two_different_eta0_exits_2(capsys, tmp_path):
     ("bogus", "bad eta spec 'bogus' at d=2: unknown controller preset 'bogus'"),
     ({"matrix": [[1, 0], [0, 1]]}, "bad eta spec {'matrix': [[1, 0], [0, 1]]} at d=2: controller state has trace"),
     (None, "bad eta spec None at d=2: "),
-], ids=["two-kinds", "empty", "stray-key", "misspelt", "bad-preset", "bad-string", "bad-matrix", "null"])
+    ({"matrix": [[1]]}, "bad eta spec {'matrix': [[1]]} at d=2: controller state must be 2x2, got shape (1, 1)"),
+    ({"preset": [[1]]}, "bad eta spec {'preset': [[1]]} at d=2: controller state must be 2x2, got shape (1, 1)"),
+    ([[1]], "bad eta spec [[1]] at d=2: controller state must be 2x2, got shape (1, 1)"),
+    ({"matrix": [[["nan", 0], 0], [0, 1]]}, "could not parse matrix: matrix entries must be finite, got ['nan', 0]"),
+    ({"matrix": [[float("inf"), 0], [0, 1]]}, "could not parse matrix: matrix entries must be finite, got inf"),
+    ({"preset": 10 ** 400}, "bad eta spec {'preset': 1"),
+], ids=["two-kinds", "empty", "stray-key", "misspelt", "bad-preset", "bad-string", "bad-matrix", "null",
+        "matrix-1x1", "preset-1x1", "plain-1x1", "nan-entry", "inf-entry", "huge-int"])
 def test_bad_eta_spec_exits_2(capsys, tmp_path, eta, message):
     # {"eta0": 0.3, "preset": "clean"} ran the clean preset and recorded eta0 = 0.3; a bad preset raised
     code, out, err = _steady_with_config(capsys, tmp_path, {"scenario": "mf-eta-cooling", "eta": eta})
@@ -463,6 +470,36 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     code, out, err = _steady_with_config(capsys, tmp_path, {"scenario": "mf-noisy-cooling", "lamda": 0.9})
     assert code == 2 and out == ""
     assert "config error: unknown config key 'lamda'; accepted keys: [" in err and "'lambda'" in err
+
+
+@pytest.mark.parametrize("argv", [["--scenario", "mf-clean-cooling", "--tau", "0", "--lambda", "1"],
+                                  ["--scenario", "mf-eta-cooling", "--tau", "0", "--lambda", "1"],
+                                  ["--scenario", "ad-mf", "--tau", "0", "--gamma", "0"]])
+def test_steady_exits_0_where_the_oracle_of_another_protocol_is_undefined(capsys, argv):
+    # the oracle also computed a protocol whose formula divides by zero here, and raised ZeroDivisionError
+    assert cli.main(["steady", *argv]) == 0
+    assert "\noracle_dev: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario", [["mf-noisy-cooling"], {"a": 1}, 5])
+def test_non_string_scenario_exits_2(capsys, tmp_path, scenario):
+    # a list or an object raised TypeError: unhashable type
+    code, out, err = _steady_with_config(capsys, tmp_path, {"scenario": scenario})
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: unknown scenario {scenario!r}; choose from ['ad-cf', ")
+
+
+@pytest.mark.parametrize("eta,message", [
+    ({"matrix": [[1]]}, "controller state must be 2x2, got shape (1, 1)"),
+    (float("nan"), "eta0 must be in [0,1], got nan"),
+])
+def test_sweep_checks_the_eta_spec_that_an_eta0_axis_replaces(capsys, tmp_path, eta, message):
+    # every point takes its eta0 from the axis, so no point built the config's own spec
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "eta-cooling-compare", "eta": eta}))
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep", "--config", str(tmp_path / "cfg.json"), "--sweep", "eta0=0:1:3", "--out", str(out)]) == 2
+    assert f"config error: bad eta spec {eta!r} at d=2: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -597,9 +634,19 @@ def test_sweep_axis_out_of_range_exits_2(monkeypatch, capsys, tmp_path, argv, li
      "a stage needs a type from ['cf', 'mf-povm', 'mf-projective'], got {'type': 'cff'"),
     ({"scenario": "cf-clean", "stage": 5}, "a stage needs a type from ['cf', 'mf-povm', 'mf-projective'], got 5"),
     ({"scenario": "cf-clean", "stage": None}, "a stage needs a type from ['cf', 'mf-povm', 'mf-projective'], got None"),
+    ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-povm", "kraus": [[[["nan", 0], 0], [0, 0]], [[0, 0], [0, 1]]]}},
+     "could not parse matrix: matrix entries must be finite, got ['nan', 0]"),
+    ({"scenario": "mf-noisy-cooling", "stage": {"type": "mf-projective", "feedback": [[[0, 1], [1, 0]],
+                                                                                       [[0, 1], [1, [0, "inf"]]]]}},
+     "could not parse matrix: matrix entries must be finite, got [0, 'inf']"),
+    ({"scenario": "cf-clean", "stage": {"type": "cf", "unitary": [[10 ** 400, 0], [0, 1]]}},
+     "could not parse matrix: int too large to convert to float"),
 ], ids=["cf-wrong-d", "cf-not-unitary", "cf-no-unitary", "mf-projective-too-few", "mf-projective-not-a-list",
-        "cf-stray-key", "mf-povm-stray-keys", "compare-stray-key", "unknown-type", "not-an-object", "null"])
-@pytest.mark.parametrize("command", [["steady"], ["sweep", "--sweep", "tau=0.1:0.9:3"]], ids=["steady", "sweep"])
+        "cf-stray-key", "mf-povm-stray-keys", "compare-stray-key", "unknown-type", "not-an-object", "null",
+        "mf-povm-nan", "mf-projective-inf", "cf-huge-int"])
+@pytest.mark.parametrize("command", [["steady"], ["sweep", "--sweep", "tau=0.1:0.9:3"],
+                                     ["trajectories", "--steps", "2", "--ntraj", "2"]],
+                         ids=["steady", "sweep", "trajectories"])
 def test_bad_config_stage_exits_2(capsys, tmp_path, config, message, command):
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
     cfg.write_text(json.dumps(config))
@@ -753,6 +800,20 @@ def test_sweep_parts_are_built_once_per_value_of_the_keys_they_read(monkeypatch)
     cfg = resolve_config({"scenario": "eta-cooling-compare"})
     scenarios.metric_rows([resolve_config(cfg, {"eta0": x}) for x in np.linspace(0.0, 1.0, 5)])
     assert noise_calls == [cfg["lambda"]]
+
+
+def test_sweep_blocks_share_the_parts_built_so_far(monkeypatch):
+    from qfeedback import loop, scenarios
+
+    cfg = resolve_config({"scenario": "cf-clean"})
+    cfgs = [resolve_config(cfg, {"tau": x}) for x in np.linspace(0.0, 1.0, 6)]
+    one_block = scenarios.metric_rows(cfgs)
+    calls = []
+    monkeypatch.setattr(loop.CoherentStage, "controller_ops", lambda self, d, build=loop.CoherentStage.controller_ops:
+                        calls.append(d) or build(self, d))
+    monkeypatch.setattr(scenarios, "MAX_BLOCK_BYTES", 2 * 16 * 2 ** 4)  # two d=2 points of one outcome per block
+    assert scenarios.metric_rows(cfgs) == one_block  # exact, cell by cell
+    assert calls == [2]  # one stage build for the three blocks
 
 
 # a value of every config key, different from each scenario's own

@@ -1,8 +1,12 @@
+"""The linear algebra of the joint-space reference in `reference.py`: Kronecker
+products, partial traces, Hermitian spectra and majorisation."""
+
 import numpy as np
 import pytest
 
-from qfeedback.linops import hermitian_eigs, kron, majorizes, max_abs, partial_trace
-from qfeedback.quantum import dm, partial_swap, random_density_matrix, swap_operator
+from qfeedback.quantum import dm, max_abs, partial_swap, random_density_matrix, swap_operator
+
+from reference import hermitian_eigs, kron, majorizes, partial_trace
 
 
 def random_complex(shape, rng):

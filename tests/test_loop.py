@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qfeedback import loop, oracles
-from qfeedback.linops import max_abs, partial_trace
 from qfeedback.loop import (
     MAX_DIM,
     CoherentStage,
@@ -40,6 +39,7 @@ from qfeedback.quantum import (
     dm,
     identity_channel,
     ket,
+    max_abs,
     maximally_mixed,
     partial_swap,
     random_density_matrix,
@@ -47,6 +47,8 @@ from qfeedback.quantum import (
     random_unitary,
 )
 from qfeedback.scenarios import build_protocols, resolve_config
+
+from reference import partial_trace
 
 
 def mf_cooling(d, tau, lam, eta=None):
@@ -430,6 +432,13 @@ def test_batched_build_checks_every_point():
         branch_liouvillians([0.5, 0.5], [0.5, 1.5], eta, ops.repeat(2, 0), noise.repeat(2, 0))
     with pytest.raises(ValueError, match="controller reset state has trace"):
         branch_liouvillians([0.5, 0.5], [0.5, 0.5], eta * [[[1.0]], [[2.0]]], ops.repeat(2, 0), noise.repeat(2, 0))
+
+
+def test_protocol_refuses_a_nan_unitary_and_a_reset_state_of_another_size():
+    with pytest.raises(ValueError, match=re.escape("in-loop unitary is not unitary: max|U†U - 1| = nan")):
+        cf(2, 0.5, 0.5, maximally_mixed(2), v=np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match=re.escape("controller reset state shape (3, 3) != (2,2)")):
+        cf(2, 0.5, 0.5, maximally_mixed(3))
 
 
 def test_batched_steady_states_flag_each_degenerate_point():

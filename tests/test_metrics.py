@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from qfeedback.loop import CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage, Superoperator, build_superoperator
-from qfeedback.metrics import (
-    _bloch_states,
-    fidelity_to_pure,
-    haar_avg_bitflip_fidelity,
-    haar_avg_bitflip_fidelity_mc,
-    linear_entropy,
-    von_neumann_entropy,
-)
+from qfeedback.metrics import _bloch_states, haar_avg_bitflip_fidelity, linear_entropy, von_neumann_entropy
 from qfeedback.quantum import (
     controller_state,
     depolarizing_channel,
@@ -20,6 +13,8 @@ from qfeedback.quantum import (
     pauli_x,
 )
 from qfeedback.scenarios import bitflip_povm_kraus
+
+from reference import fidelity_to_pure, haar_avg_bitflip_fidelity_mc
 
 
 def test_entropy_pure_state_is_zero():

@@ -113,6 +113,16 @@ def test_ad_occupations_values():
     assert abs(chipi2 - 0.5) <= 1e-12
 
 
+def test_a_side_without_a_unique_steady_state_is_nan():
+    # the formula divides by zero there; the other side keeps its value
+    s_mf, s_cf = oracles.eta_entropies(0.0, 1.0, 0.3)
+    assert s_mf == 0.0 and np.isnan(s_cf)
+    assert all(np.isnan(oracles.eta_entropies(1.0, 1.0, 0.3)))
+    chi0, chipi2, mf, _, _ = oracles.ad_occupations(0.0, 0.0)
+    assert np.isnan(chi0) and (chipi2, mf) == (0.5, 1.0)
+    assert all(np.isnan(oracles.ad_occupations(1.0, 0.0)[:3]))
+
+
 def test_ad_mf_beats_chipi2_everywhere():
     for tau in np.linspace(0.03, 0.97, 20):
         for gamma in np.linspace(0.03, 0.97, 20):

@@ -1,27 +1,28 @@
+import re
+
 import numpy as np
 import pytest
 
-from qfeedback.linops import max_abs, partial_trace
 from qfeedback.quantum import (
     KrausChannel,
-    amplitude_damp,
     amplitude_damping_channel,
-    apply_channel,
     check_density_matrix,
     controller_state,
-    depolarize,
     depolarizing_channel,
     dm,
+    hermitize,
     identity_channel,
     ket,
+    max_abs,
     maximally_mixed,
     partial_swap,
     random_density_matrix,
     random_kraus_channel,
-    reset_channel,
     swap_operator,
     unitary_mapping,
 )
+
+from reference import amplitude_damp, apply_channel, depolarize, partial_trace, reset_channel
 
 
 def test_depolarize_limits():
@@ -138,6 +139,8 @@ def test_channel_constructors_are_complete():
 def test_kraus_completeness_enforced():
     with pytest.raises(ValueError):
         KrausChannel(2, (np.eye(2) * 0.9,))
+    with pytest.raises(ValueError, match=re.escape("completeness violated: max|ΣK†K - 1| = nan")):
+        KrausChannel(2, (np.diag([np.nan, 1.0]),))
 
 
 def test_apply_channel_dim_mismatch():
@@ -155,6 +158,8 @@ def test_controller_presets():
         controller_state(2, "warm")
     with pytest.raises(ValueError):
         controller_state(3, 0.3)  # eta0 family is qubit-only
+    with pytest.raises(ValueError, match=re.escape("controller state must be 2x2, got shape (1, 1)")):
+        controller_state(2, [[1.0]])
 
 
 def test_density_matrix_invariants_enforced():
@@ -164,6 +169,11 @@ def test_density_matrix_invariants_enforced():
         check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([1.5, -0.5]))
+    # NaN fails every check: a comparison with NaN is False either way round
+    with pytest.raises(ValueError, match=re.escape("not Hermitian: max|M - M†| = nan")):
+        check_density_matrix(np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitize(np.full((2, 2), np.nan), tol=np.inf)
 
 
 def test_clean_state_clips_tiny_negatives_and_rejects_big_ones():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qfeedback.linops import max_abs
 from qfeedback.loop import (
     CoherentStage,
     FeedbackProtocol,
@@ -12,6 +11,7 @@ from qfeedback.quantum import (
     dm,
     identity_channel,
     ket,
+    max_abs,
     maximally_mixed,
     pauli_x,
     random_density_matrix,
