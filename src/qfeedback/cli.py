@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .loop import DegenerateSteadyStateError, sample_ensemble, steady_state
+from .loop import MAX_THREADS, DegenerateSteadyStateError, sample_ensemble, steady_state
 from .quantum import maximally_mixed
 from .scenarios import PARAMETERS, SCENARIOS, ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 
@@ -117,7 +117,7 @@ def _resolved(args: argparse.Namespace, axes: tuple[str, ...] = ()) -> dict:
 
 
 def _threads(cfg: dict) -> int:
-    return cfg["threads"] if cfg["threads"] > 0 else (os.cpu_count() or 1)
+    return cfg["threads"] if cfg["threads"] > 0 else min(os.cpu_count() or 1, MAX_THREADS)
 
 
 def cmd_steady(args: argparse.Namespace) -> int:

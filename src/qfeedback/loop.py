@@ -17,9 +17,11 @@ An ensemble step works on distinct values. The trajectories' states repeat
 heavily at d = 2, so each step contracts L only with the distinct states
 (keyed on their bytes) and cleans each distinct (state, outcome) pair once,
 gathering the results back to every row. A contraction's row depends on no
-other row, so the arrays are bit for bit those of a step per row. Once a step
-starts from more distinct states than half the rows (often at d = 3),
-the ensemble steps every row on its own for the rest of the run.
+other row, so the arrays are bit for bit those of a step per row. This phase
+runs once over the whole ensemble. Once a step starts from more distinct
+states than half the rows (often at d = 3), the ensemble steps every row on
+its own for the rest of the run, and only then are the rows chunked across
+the worker pool.
 
 Many protocols (the points of a sweep) are built as one (P, J, d², d²) stack
 by `branch_liouvillians` and solved as one batch by `steady_states`; a single
@@ -31,6 +33,7 @@ out of scope (the stage types are the extension point).
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,6 +57,8 @@ MAX_DIM = 16
 # A batch of protocols is built and solved in blocks whose L stacks hold at
 # most this many bytes (at least one protocol per block).
 MAX_BLOCK_BYTES = 1 << 24
+# sample_ensemble starts one OS thread per worker
+MAX_THREADS = 64
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -400,42 +405,128 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[first], inverse
 
 
-def _run_chunk(
-    rho0: np.ndarray,
+# Trajectory i draws its uniforms from np.random.default_rng((seed, i)), computed here
+# for every row at once with uint64 arithmetic. numpy's SeedSequence hashes the
+# entropy words of (seed, i) into the 128-bit state and increment of a PCG64
+# generator (O'Neill 2014); each draw is one step of its 128-bit LCG, the XSL-RR
+# output and (x >> 11)·2⁻⁵³. The streams are counter-based, so a row's draws do not
+# depend on the other rows or on how the rows are chunked. tests/test_loop.py pins
+# them to numpy's.
+_U32, _M32, _SH32 = np.uint32, np.uint64(0xFFFFFFFF), np.uint64(32)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, its hash constant advancing by `mult` with every call."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ _U32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * _U32(const)
+        return value ^ value >> _U32(16)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
+    return r ^ r >> _U32(16)
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a·b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> _SH32, b & _M32, b >> _SH32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _SH32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _SH32) + (p10 >> _SH32) + (mid >> _SH32)
+
+
+def _lcg_step(s: np.ndarray) -> None:
+    """state ← state·mult + increment mod 2¹²⁸, in place on the 64-bit halves of `_streams`."""
+    lo = s[1] * _PCG_MULT_LO
+    hi = _mulhi(s[1], _PCG_MULT_LO) + s[0] * _PCG_MULT_LO + s[1] * _PCG_MULT_HI
+    s[1] = lo + s[3]
+    s[0] = hi + s[2] + (s[1] < lo)
+
+
+def _streams(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 generators of np.random.default_rng((seed, i)) for i in [start, stop),
+    as rows (state high, state low, increment high, increment low) of shape (4, n)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if stop > 1 << 32:
+        raise ValueError(f"trajectory index must be below 2**32, got {stop - 1}")
+    n = stop - start
+    # the entropy: the seed's 32-bit words, least significant first, then the one word of i
+    entropy = [np.full(n, seed >> k & 0xFFFFFFFF, dtype=_U32) for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(start, stop, dtype=_U32))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, _U32)) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # the remaining entropy of seeds of four or more words
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words from the cycled pool, read as four little-endian uint64
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (w[k] | w[k + 1] << _SH32 for k in range(0, 8, 2))
+    # PCG64's srandom_r: increment 2·initseq + 1; the state one step from 0 (the increment),
+    # plus the initial state, stepped once more
+    s = np.empty((4, n), dtype=np.uint64)
+    s[2], s[3] = i_hi << np.uint64(1) | i_lo >> np.uint64(63), i_lo << np.uint64(1) | np.uint64(1)
+    s[1] = s[3] + s_lo
+    s[0] = s[2] + s_hi + (s[1] < s_lo)
+    _lcg_step(s)
+    return s
+
+
+def _uniforms(s: np.ndarray) -> np.ndarray:
+    """Advance every stream of `_streams` in place and return its next double in [0, 1)."""
+    _lcg_step(s)
+    rot = s[0] >> np.uint64(58)
+    x = s[0] ^ s[1]
+    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    return (x >> np.uint64(11)) * 2.0 ** -53
+
+
+def _run_steps(
     p: FeedbackProtocol,
-    seed: int,
+    stream: np.ndarray,
+    vecs: np.ndarray,
+    at: np.ndarray | slice,
+    t0: int,
     rows: slice,
     out: EnsembleResult,
-    check_majorization: bool,
-) -> float:
-    """Fill rows `rows` of `out` with trajectories rows.start..rows.stop-1 and
-    return their worst majorisation violation (-inf when unchecked).
+    mids: np.ndarray | None,
+) -> tuple[np.ndarray, int, float]:
+    """Steps t0, t0 + 1, ... of trajectories rows.start..rows.stop-1, which
+    start from the stacked states `vecs` (row r's is vecs[at][r]) and draw from
+    the streams `stream`. Fills rows `rows` of `out` and returns (vecs, t,
+    worst): the step t reached, the states it starts from (one per row, when
+    t < steps) and the worst majorisation violation of the steps taken (-inf
+    when `mids` is None).
 
-    Every step draws outcome j by inverse CDF over p_j = vec(1)ᵀ L_j vec ρ,
-    on distinct values until the chunk is more than half distinct (see the
-    module docstring).
+    Every step draws outcome j by inverse CDF over p_j = vec(1)ᵀ L_j vec ρ. With
+    an index array `at` the steps work on distinct values (see the module
+    docstring) and return before the first step that starts from more distinct
+    states than half the rows; with at = slice(None) they run to the last step.
     """
     d, steps, n_out = p.d, out.outcomes.shape[1], len(p.L)
-    # counter-based per-trajectory streams: ensembles are reproducible and
-    # order-independent no matter how they are chunked across workers
-    uniforms = np.stack([np.random.default_rng((seed, i)).random(steps) for i in range(rows.start, rows.stop)])
-    n = len(uniforms)
-    idx = np.arange(n)
-    # the states (stacked), and where each row's state is among them
-    vecs, at, dedupe = stack(rho0)[None], np.zeros(n, dtype=np.intp), True
-    worst = -np.inf
-    # branch maps that stop before the second coupling: the pre-U₂ system state
-    mids = _branch_liouvillians(p, 1.0) if check_majorization else None
-    for t in range(steps):
+    n = rows.stop - rows.start
+    idx, dedupe, worst = np.arange(n), not isinstance(at, slice), -np.inf
+    for t in range(t0, steps):
         if dedupe:
             vecs, inverse = _distinct_rows(vecs)
             at = inverse[at]
             if 2 * len(vecs) > n:  # more than half distinct: np.unique no longer pays
-                vecs, at, dedupe = vecs[at], slice(None), False
+                return vecs[at], t, worst
         outs = np.einsum("jab,nb->jna", p.L, vecs)
         probs = _traces(outs, d).T
         cum = np.cumsum(probs, axis=1)[at]
-        u = uniforms[:, t] * cum[:, -1]
+        u = _uniforms(stream) * cum[:, -1]
         chosen = (u[:, None] >= cum).sum(axis=1)
         np.clip(chosen, 0, n_out - 1, out=chosen)
         if dedupe:  # each distinct (state, outcome) pair
@@ -463,7 +554,7 @@ def _run_chunk(
         out.rho11[rows, t] = states[:, 1, 1].real[at]
         vecs = stack(states)
     out.final_states[rows] = states[at]
-    return worst
+    return vecs, steps, worst
 
 
 def sample_ensemble(
@@ -477,20 +568,35 @@ def sample_ensemble(
 ) -> EnsembleResult:
     """Sample n_traj conditional (filtered) trajectories of `steps` cycles each.
 
-    Trajectory i is row i, drawn from the stream of (seed, i). With
-    threads > 1 the rows are chunked across a worker pool; results do not
-    depend on the chunking. Coherent stages are deterministic: outcome 0 with
+    Trajectory i is row i, drawn from the stream of np.random.default_rng((seed,
+    i)), computed in closed form for all rows at once (seed >= 0, i < 2**32).
+    The steps on distinct values run once over the whole ensemble; when they
+    stop paying, the remaining steps are chunked across a pool of up to
+    `threads` workers (at most MAX_THREADS). Results do not depend on the
+    thread count. Coherent stages are deterministic: outcome 0 with
     probability 1.
     """
     if n_traj < 1 or steps < 1:
         raise ValueError(f"steps and n_traj must be at least 1, got steps={steps}, n_traj={n_traj}")
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
     rho0 = _check_state(rho0, p)
+    stream = _streams(seed, 0, n_traj)
     out = EnsembleResult(*(np.empty((n_traj, steps), dtype) for dtype in (np.int64, float, float, float)),
                          final_states=np.empty((n_traj, p.d, p.d), dtype=complex))
-    n_chunks = 1 if threads <= 1 or n_traj < 2 * threads else threads
-    bounds = np.linspace(0, n_traj, n_chunks + 1, dtype=int)
-    chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        worst = max(pool.map(lambda rows: _run_chunk(rho0, p, seed, rows, out, check_majorization), chunks))
+    # branch maps that stop before the second coupling: the pre-U₂ system state
+    mids = _branch_liouvillians(p, 1.0) if check_majorization else None
+    vecs, t, worst = _run_steps(p, stream, stack(rho0)[None], np.zeros(n_traj, dtype=np.intp), 0,
+                                slice(0, n_traj), out, mids)
+    if t < steps:  # every row on its own from step t, the rows chunked across the workers
+        n_chunks = 1 if threads <= 1 or n_traj < 2 * threads else threads
+        bounds = np.linspace(0, n_traj, n_chunks + 1, dtype=int)
+        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+        def run(rows: slice) -> float:
+            return _run_steps(p, stream[:, rows], vecs[rows], slice(None), t, rows, out, mids)[2]
+
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            worst = max(worst, *pool.map(run, chunks))
     out.majorization_violation = worst if check_majorization else None
     return out

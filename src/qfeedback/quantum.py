@@ -23,8 +23,6 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 
 pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
-pauli_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def max_abs(m: np.ndarray) -> float:

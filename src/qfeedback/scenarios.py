@@ -28,6 +28,7 @@ from . import oracles
 from .loop import (
     MAX_BLOCK_BYTES,
     MAX_DIM,
+    MAX_THREADS,
     CoherentStage,
     DegenerateSteadyStateError,
     FeedbackProtocol,
@@ -57,8 +58,7 @@ class ConfigError(ValueError):
     """Invalid configuration (unknown scenario, bad parameter, bad axis)."""
 
 
-# Size limits, refused before anything is allocated or started.
-MAX_THREADS = 64                # sample_ensemble starts one OS thread per worker
+# Size limits, refused before anything is allocated or started (with loop.MAX_DIM and loop.MAX_THREADS).
 MAX_TRAJECTORY_STEPS = 10 ** 7  # ntraj * steps; an ensemble holds about 370 B per trajectory-step
 
 

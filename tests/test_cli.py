@@ -339,6 +339,21 @@ def test_trajectory_settings_are_refused_before_the_ensemble_starts(monkeypatch,
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+def test_hardware_thread_count_is_capped_at_the_library_limit(monkeypatch):
+    # --threads 0 sizes the pool to the machine, which may have more cores than the limit
+    seen, ensemble = [], cli.sample_ensemble
+
+    def recording(*args, threads, **kwargs):
+        seen.append(threads)
+        return ensemble(*args, threads=threads, **kwargs)  # 3 rows: one chunk, one worker at most
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(cli, "sample_ensemble", recording)
+    assert cli.main(["trajectories", "--scenario", "mf-noisy-cooling", "--threads", "0", "--steps", "2",
+                     "--ntraj", "3"]) == 0
+    assert seen == [64]
+
+
 @pytest.mark.parametrize("axes,count", [(["tau=0:1:1000001"], 1000001), (["tau=0:1:1001", "lambda=0:1:1000"], 1001000)],
                          ids=["one-axis", "two-axes"])
 def test_sweep_above_the_point_limit_exits_2(monkeypatch, capsys, axes, count):

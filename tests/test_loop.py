@@ -9,6 +9,7 @@ import pytest
 from qfeedback import loop, oracles
 from qfeedback.loop import (
     MAX_DIM,
+    MAX_THREADS,
     CoherentStage,
     DegenerateSteadyStateError,
     EnsembleResult,
@@ -378,8 +379,60 @@ def test_distinct_value_step_equals_a_step_per_row(monkeypatch, scenario, d, mer
         ens = sample_ensemble(rho0, p["mf"], steps, n_traj, seed=5, threads=threads,
                               check_majorization=check_majorization)
         _assert_same_ensemble(ens, reference)
-    if n_traj == 31:  # the calls of the one-worker run
-        assert (len(calls) == steps and any(m < k for k, m in calls)) if merges else len(calls) < steps
+        if n_traj == 31:  # one pass over the whole ensemble, whatever the number of workers
+            assert (len(calls) == steps and any(m < k for k, m in calls)) if merges else len(calls) < steps
+
+
+@pytest.mark.parametrize("scenario, d, pooled", [("mf-clean-cooling", 2, False), ("mf-noisy-cooling", 3, True)])
+def test_the_pool_starts_only_after_the_distinct_value_steps(monkeypatch, scenario, d, pooled):
+    """mf-clean-cooling stays on distinct values to the last step and starts no
+    pool; at d=3 more than half the states soon differ and the rest of the run
+    is chunked across the workers."""
+    started = []
+
+    class Pool(loop.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    p = build_protocols(resolve_config({}, {"scenario": scenario, "d": d, "tau": 0.3, "lambda": 0.7}))["mf"]
+    reference = sample_ensemble(maximally_mixed(d), p, 15, 31, seed=5, threads=1)
+    monkeypatch.setattr(loop, "ThreadPoolExecutor", Pool)
+    ens = sample_ensemble(maximally_mixed(d), p, 15, 31, seed=5, threads=3)
+    assert started == ([3] if pooled else [])
+    _assert_same_ensemble(ens, reference)
+
+
+def test_more_threads_than_the_limit_are_refused(monkeypatch):
+    monkeypatch.setattr(loop, "ThreadPoolExecutor", lambda *args, **kwargs: pytest.fail("a pool started"))
+    with pytest.raises(ValueError, match=f"threads must be at most {MAX_THREADS}, got {MAX_THREADS + 1}"):
+        sample_ensemble(maximally_mixed(2), mf_cooling(2, 0.5, 0.5), 3, 4, seed=0, threads=MAX_THREADS + 1)
+
+
+@pytest.mark.parametrize("start", [0, 990, 10 ** 7 - 3])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 70 + 5,
+                                  2 ** 130 + 9])
+def test_streams_are_the_ones_numpy_draws(seed, start):
+    """The trajectory streams are computed in closed form: if numpy's SeedSequence
+    or PCG64 changes, this fails rather than the ensembles changing silently.
+    2**130 + 9 has five 32-bit words and runs SeedSequence's remaining-entropy loop."""
+    n, steps = 12, 9
+    streams = loop._streams(seed, start, start + n)
+    drawn = np.stack([loop._uniforms(streams) for _ in range(steps)], axis=1)
+    expected = np.stack([np.random.default_rng((seed, i)).random(steps) for i in range(start, start + n)])
+    assert np.array_equal(drawn, expected)
+
+
+@pytest.mark.parametrize("seed, start, message", [(-1, 0, "seed must be non-negative, got -1"),
+                                                  (0, 2 ** 32, r"trajectory index must be below 2\*\*32, got 4294967296")])
+def test_streams_refuse_a_negative_seed_and_an_index_beyond_one_word(seed, start, message):
+    with pytest.raises(ValueError, match=message):
+        loop._streams(seed, start, start + 1)
+
+
+def test_ensemble_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        sample_ensemble(maximally_mixed(2), mf_cooling(2, 0.5, 0.5), 3, 4, seed=-1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
