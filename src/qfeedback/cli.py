@@ -58,30 +58,42 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: str | None, header: list[str], blocks) -> None:
     """Write the CSV to `path`, or to stdout. `blocks` holds a (row template, columns) pair per block
-    of rows sharing a layout. A block is written in chunks of CSV_CHUNK_ROWS rows, each formatted by one
-    `%` (`%.15g` gives the bytes of `{:.15g}`)."""
+    of rows sharing a layout. Each column's cells are texts that end with the literal following the
+    column in the template (the first column's also start with the template's leading literal), so a
+    chunk of CSV_CHUNK_ROWS rows is its columns' texts interleaved and written by one `"".join`."""
     with open(path, "w", newline="\n") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for template, columns in blocks:
             literals = _CONVERSION.split(template)
-            conversions, cells = zip(*map(_column_cells, _CONVERSION.findall(template), columns))
-            row = "".join(itertools.chain.from_iterable(zip(literals, conversions + ("",))))
+            formats = [c + literal for c, literal in zip(_CONVERSION.findall(template), literals[1:])]
+            formats[0] = literals[0] + formats[0]
+            cells = list(map(_column_cells, formats, columns))
             for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                chunk = [column(slice(start, start + CSV_CHUNK_ROWS)) for column in cells]
-                fh.write((row * len(chunk[0])) % tuple(itertools.chain.from_iterable(zip(*chunk))))
+                chunk = [cell(slice(start, start + CSV_CHUNK_ROWS)) for cell in cells]
+                texts = [None] * (len(chunk) * len(chunk[0]))
+                for i, column_texts in enumerate(chunk):
+                    texts[i::len(chunk)] = column_texts
+                fh.write("".join(texts))
 
 
-def _column_cells(conversion: str, column) -> tuple:
-    """The conversion and the cells (a function of a row slice) of one CSV column. A numpy column of
-    which at most half the values are distinct has each distinct value formatted once, keyed on its
-    bits (so -0.0 and 0.0 stay apart), and its cells are that text."""
+def _column_cells(fmt: str, column):
+    """The cells of one CSV column, a function of a row slice giving their texts (`%.15g` gives the
+    bytes of `{:.15g}`). A list whose format is a bare `%s` holds its texts ready-made; any other
+    list is formatted cell by cell. A numpy column of which at most half the values are distinct has
+    each distinct value formatted once, keyed on its bits (so -0.0 and 0.0 stay apart); any other is
+    formatted a chunk at a time by one `%` over the chunk, split on a NUL, which `%.15g` and `%d`
+    never write, so its texts never outlive the chunk."""
     if not isinstance(column, np.ndarray):
-        return conversion, column.__getitem__
+        return column.__getitem__ if fmt == "%s" else lambda rows: [fmt % x for x in column[rows]]
     keys, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
     if 2 * len(keys) > len(column):
-        return conversion, lambda rows: column[rows].tolist()
-    text = np.array([conversion % x for x in keys.view(column.dtype).tolist()], dtype=object)
-    return "%s", lambda rows: text[inverse[rows]].tolist()
+        return lambda rows: _formatted(fmt, column[rows].tolist())
+    text = np.array([fmt % x for x in keys.view(column.dtype).tolist()], dtype=object)
+    return lambda rows: text[inverse[rows]].tolist()
+
+
+def _formatted(fmt: str, values: list) -> list[str]:
+    return ("\0".join([fmt] * len(values)) % tuple(values)).split("\0")
 
 
 def _row_blocks(rows: list[list]) -> list:
@@ -165,12 +177,12 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     )
     header = ["trajectory_id", "step", "outcome", "probability", "entropy_normalised", "rho11"]
     n, steps = ens.outcomes.shape
-    step = np.arange(1, steps + 1)
+    ids, step_texts = [f"{i}," for i in range(n)], [f"{t}," for t in range(1, steps + 1)]
     _write_csv(args.out, header, [
-        ("%d,%d,%d,%.15g,%.15g,%.15g\n",
-         [np.repeat(np.arange(n), steps), np.tile(step, n)]
+        ("%s%s%d,%.15g,%.15g,%.15g\n",  # the id and step cells are ready-made texts, comma included
+         [[text for text in ids for _ in range(steps)], step_texts * n]
          + [a.ravel() for a in (ens.outcomes, ens.probabilities, ens.entropies, ens.rho11)]),
-        ("mean,%d,,,%.15g,%.15g\n", [step, ens.entropies.mean(axis=0), ens.rho11.mean(axis=0)]),
+        ("mean,%d,,,%.15g,%.15g\n", [np.arange(1, steps + 1), ens.entropies.mean(axis=0), ens.rho11.mean(axis=0)]),
     ])
     if args.out:
         _write_sidecar(args.out, "trajectories", cfg)

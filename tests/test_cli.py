@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,25 +168,43 @@ def test_trajectories_csv_of_several_chunks_matches_per_cell_format(tmp_path):
                                     2 * cli.CSV_CHUNK_ROWS + 7])
 def test_chunked_csv_writer_matches_per_cell_format(tmp_path, n_rows):
     """Rows below, at and above one chunk; columns of few and of many distinct
-    values (formatted once per distinct value, or cell by cell), with -0.0,
-    nan and inf cells, and 4-byte ints (np.arange's int on some platforms)."""
+    values (formatted once per distinct value, or a chunk at a time), with -0.0,
+    nan and inf cells, 4-byte ints (np.arange's int on some platforms), and a
+    list of ready-made `%s` texts that carry their own comma (the trajectory id
+    and step columns)."""
     rng = np.random.default_rng(n_rows)
     special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-300])
+    ids = np.arange(n_rows) // 7
     repeated_ints = np.arange(n_rows, dtype=np.int32) // 3
     distinct_ints = rng.integers(-2 ** 62, 2 ** 62, n_rows)
     repeated_floats = rng.choice(special, n_rows)
     distinct_floats = np.where(rng.random(n_rows) < 0.2, rng.choice(special, n_rows), rng.normal(0, 1e3, n_rows))
     means = rng.random(n_rows // 2 + 1)
     out = tmp_path / "t.csv"
-    cli._write_csv(str(out), ["a", "b", "c", "d"], [
-        ("%d,%d,%.15g,%.15g\n", [repeated_ints, distinct_ints, repeated_floats, distinct_floats]),
-        ("mean,,%.15g,\n", [means]),
+    cli._write_csv(str(out), ["id", "a", "b", "c", "d"], [
+        ("%s%d,%d,%.15g,%.15g\n",
+         [[f"{i}," for i in ids], repeated_ints, distinct_ints, repeated_floats, distinct_floats]),
+        ("mean,,,%.15g,\n", [means]),
     ])
-    rows = [["a", "b", "c", "d"]]
-    rows += [[int(i), int(j), float(x), float(y)]
-             for i, j, x, y in zip(repeated_ints, distinct_ints, repeated_floats, distinct_floats)]
-    rows += [["mean", None, float(x), None] for x in means]
+    rows = [["id", "a", "b", "c", "d"]]
+    rows += [[int(k), int(i), int(j), float(x), float(y)]
+             for k, i, j, x, y in zip(ids, repeated_ints, distinct_ints, repeated_floats, distinct_floats)]
+    rows += [["mean", None, None, float(x), None] for x in means]
     assert out.read_bytes() == _per_cell_csv(rows)
+
+
+def test_csv_writer_memory_stays_within_a_chunk(tmp_path):
+    """Columns of mostly distinct values are formatted a chunk at a time. Formatting
+    every distinct value of a 40000-row block up front would hold 40000 texts per
+    column at once (about 11 MB here, against about 2 MB chunk by chunk)."""
+    columns = [np.random.default_rng(k).random(40000) for k in range(3)]
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], [("%.15g,%.15g,%.15g\n", columns)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("argv", [

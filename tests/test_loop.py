@@ -435,17 +435,33 @@ def test_ensemble_refuses_a_negative_seed():
         sample_ensemble(maximally_mixed(2), mf_cooling(2, 0.5, 0.5), 3, 4, seed=-1)
 
 
+# the contraction order numpy's optimize=True picks for the hygiene einsum at every n and d
+HYGIENE_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 @pytest.mark.parametrize("n", [1, 7, 1000])
 def test_hygiene_path_is_the_one_numpy_chooses(n, d):
-    """The hygiene contraction runs on a fixed path: if numpy would now choose
-    another, this fails rather than the ensemble's bits changing silently."""
+    """Hygiene rebuilds each state as V diag(w) V^H by one batched matmul, which
+    gives the bits of the einsum "nij,nj,nkj->nik" on the path numpy's
+    optimize=True picks. If numpy would now choose another path, or hygiene
+    stops matching that einsum bit for bit (-0.0 included), this fails rather
+    than the ensemble's bits changing silently."""
     rng = np.random.default_rng(n * d)
     v = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     w = rng.random((n, d))
     operands = ("nij,nj,nkj->nik", v, w, v.conj())
-    assert np.einsum_path(*operands, optimize=True)[0] == loop._HYGIENE_PATH
-    assert np.array_equal(np.einsum(*operands, optimize=loop._HYGIENE_PATH), np.einsum(*operands, optimize=True))
+    assert np.einsum_path(*operands, optimize=True)[0] == HYGIENE_PATH
+    states = np.einsum(*operands, optimize=HYGIENE_PATH)
+    assert np.array_equal(states, np.einsum(*operands, optimize=True))
+    states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+    w, v = np.linalg.eigh(0.5 * (states + np.conj(np.swapaxes(states, -1, -2))))
+    w = np.clip(w, 0.0, None)
+    w /= w.sum(axis=-1, keepdims=True)
+    cleaned, spectra = _hygiene_batch(states)
+    assert np.array_equal(spectra, w)
+    expected = np.einsum("nij,nj,nkj->nik", v, w, v.conj(), optimize=HYGIENE_PATH)
+    assert np.array_equal(cleaned.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("steps, n_traj", [(0, 5), (5, 0), (-1, 5)])
