@@ -158,8 +158,9 @@ def cmd_steady(args: argparse.Namespace) -> int:
     print("resolved config: " + json.dumps(cfg, sort_keys=True, default=str))
 
     if args.out:
-        header = ["scenario"] + [f"alpha{i}" for i in range(len(spectrum))] + list(row.keys())
-        values = [cfg["scenario"]] + [float(x) for x in spectrum] + [row[k] for k in row]
+        rest = {k: v for k, v in row.items() if k != "alpha0"}  # alpha0 heads the spectrum columns
+        header = ["scenario"] + [f"alpha{i}" for i in range(len(spectrum))] + list(rest)
+        values = [cfg["scenario"]] + [float(x) for x in spectrum] + list(rest.values())
         _write_csv(args.out, header, _row_blocks([values]))
         _write_sidecar(args.out, "steady", cfg)
     return EXIT_OK

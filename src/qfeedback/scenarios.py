@@ -175,10 +175,10 @@ def _validate_resolved(cfg: dict) -> None:
             if len(SCENARIOS[cfg["scenario"]].stages) > 1:
                 raise ConfigError(f"scenario {cfg['scenario']!r} compares several protocols: "
                                   f"a config stage applies only to single-protocol scenarios")
-        eta = cfg.get("eta")
-        if isinstance(eta, dict) and (len(eta) != 1 or next(iter(eta)) not in _ETA_KINDS):
+        eta = cfg["eta"]  # every scenario's defaults hold one
+        if not isinstance(eta, dict) or len(eta) != 1 or next(iter(eta)) not in _ETA_KINDS:
             raise ConfigError(f"an eta spec needs exactly one of {', '.join(map(repr, _ETA_KINDS))}, got {eta!r}")
-        if isinstance(eta, dict) and "eta0" in eta:
+        if "eta0" in eta:
             x = float(eta["eta0"])
             if not (cfg["d"] == 2 and 0.0 <= x <= 1.0):
                 raise ConfigError(f"eta0 sets the qubit controller state diag(eta0, 1-eta0) and needs d=2 "
@@ -235,11 +235,9 @@ def _stage_from_config(spec: dict, d: int):
 
 
 def _eta(cfg: dict) -> np.ndarray:
-    """The controller reset state of a resolved config's eta spec (a dict holds exactly one kind)."""
-    spec = cfg.get("eta", {"preset": "noisy"})
+    """The controller reset state of a resolved config's eta spec, a dict of exactly one kind."""
+    spec = cfg["eta"]
     try:
-        if not isinstance(spec, dict):
-            return controller_state(cfg["d"], spec)
         if "preset" in spec:
             return controller_state(cfg["d"], spec["preset"])
         if "eta0" in spec:
@@ -279,8 +277,9 @@ def _cool(cfg: dict):
 
 
 def _cool_to_dominant(cfg: dict):
-    """Re-prepare the dominant state of diag(eta0, 1-eta0): |0> for eta0 >= 1/2, else |1>."""
-    return all_to_target_stage(cfg["d"], 0 if cfg["eta0"] >= 0.5 else 1)
+    """Re-prepare the dominant state of the qubit η: |0> when <0|η|0> >= <1|η|1>, else |1>."""
+    eta = _eta(cfg)
+    return all_to_target_stage(cfg["d"], 0 if eta[0, 0].real >= eta[1, 1].real else 1)
 
 
 def _do_nothing(cfg: dict):
@@ -507,8 +506,8 @@ def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadySta
 def _oracle_applies(cfg: dict, scenario: Scenario) -> bool:
     """The oracles hold at tau1 == tau2, for the scenario's own stages and η spec (an eta0
     scenario takes any eta0)."""
-    spec, own = cfg.get("eta"), scenario.defaults["eta"]
-    own_eta = spec == own or ("eta0" in own and isinstance(spec, dict) and spec.keys() == {"eta0"})
+    spec, own = cfg["eta"], scenario.defaults["eta"]
+    own_eta = spec == own or ("eta0" in own and spec.keys() == {"eta0"})
     return cfg["tau1"] == cfg["tau2"] and own_eta and "stage" not in cfg
 
 

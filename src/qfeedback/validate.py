@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .loop import (CoherentStage, DegenerateSteadyStateError, FeedbackProtocol, PovmStage, ProjectiveStage,
+from .loop import (CoherentStage, DegenerateSteadyStateError, FeedbackProtocol, PovmStage,
                    all_to_target_stage, conditional_branches, cycle_unconditional, iterate_to_fixed_point,
                    sample_ensemble, steady_state)
-from .metrics import purity, von_neumann_entropy
+from .metrics import von_neumann_entropy
 from .quantum import (depolarizing_channel, dm, identity_channel, ket, maximally_mixed, random_density_matrix,
                       random_kraus_channel, random_unitary, unitary_mapping)
 from .scenarios import ConfigError, build_protocols, metric_row, metric_rows, resolve_config
@@ -284,23 +284,26 @@ def check_crossover(lams=(0.1, 0.5, 0.9)) -> CheckResult:
 
 # --- criterion 5: purity dichotomy at tau = 1/2 ----------------------------
 
+def _real_rows(m: np.ndarray) -> list[list[float]]:
+    """A real matrix in its exact config form."""
+    if np.any(m.imag):
+        raise ValueError(f"expected a real matrix, got {m}")
+    return m.real.tolist()
+
+
 def check_purity_dichotomy(grid: int = 30, lams=(0.05, 0.5, 0.95)) -> CheckResult:
-    p_cf = _scenario({"scenario": "cf-clean", "tau": 0.5, "lambda": min(lams)})["cf"]
-    cf_purity = purity(steady_state(p_cf)[0])
-    max_mf = 0.0
+    (cf,) = _rows([{"scenario": "cf-clean", "tau": 0.5, "lambda": min(lams)}])
+    # the feedback unitaries map |j> to cos(th/2)|0> + sin(th/2)|1>
     thetas = np.linspace(0.0, np.pi, grid)
-    for lam in lams:
-        noise = depolarizing_channel(2, lam)
-        for th0 in thetas:
-            v0 = unitary_mapping(ket(2, 0), np.array([np.cos(th0 / 2), np.sin(th0 / 2)], dtype=complex))
-            for th1 in thetas:
-                v1 = unitary_mapping(ket(2, 1), np.array([np.cos(th1 / 2), np.sin(th1 / 2)], dtype=complex))
-                p = FeedbackProtocol(2, noise, 0.5, 0.5, dm(ket(2, 0)),
-                                     ProjectiveStage(feedback=(v0, v1)))
-                max_mf = max(max_mf, purity(steady_state(p)[0]))
-    ok = cf_purity >= 1.0 - 1e-9 and max_mf < 1.0 - 1e-4
+    v0s, v1s = ([_real_rows(unitary_mapping(ket(2, j), np.array([np.cos(th / 2), np.sin(th / 2)], dtype=complex)))
+                 for th in thetas] for j in (0, 1))
+    rows = _rows([{"scenario": "mf-clean-cooling", "tau": 0.5, "lambda": lam,
+                   "stage": {"type": "mf-projective", "feedback": [v0, v1]}}
+                  for lam in lams for v0 in v0s for v1 in v1s])
+    max_mf = max(row["purity"] for row in rows)
+    ok = cf["purity"] >= 1.0 - 1e-9 and max_mf < 1.0 - 1e-4
     return _result("purity-dichotomy", ok,
-                   f"CF purity {cf_purity:.12f}, max projective-MF purity {max_mf:.6f} over {grid}x{grid}x{len(lams)}")
+                   f"CF purity {cf['purity']:.12f}, max projective-MF purity {max_mf:.6f} over {grid}x{grid}x{len(lams)}")
 
 
 # --- criterion 6: amplitude-damping comparison -----------------------------

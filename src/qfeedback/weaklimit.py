@@ -64,61 +64,30 @@ def first_order_defect(p: FeedbackProtocol, dtheta: float) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def _vectorize_hermitian(ms: list[np.ndarray]) -> np.ndarray:
-    """Real coordinates of Hermitian matrices in the orthogonal basis of
-    matrix units (diagonal, symmetric and antisymmetric combinations)."""
-    rows = []
-    for m in ms:
-        d = m.shape[0]
-        iu = np.triu_indices(d, k=1)
-        rows.append(np.concatenate([np.diag(m).real, m[iu].real, m[iu].imag]))
-    return np.array(rows)
-
-
-def _rank(vectors: np.ndarray, tol: float = 1e-9) -> int:
-    if len(vectors) == 0:
-        return 0
-    sv = np.linalg.svd(vectors, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, sv[0])))
-
-
 def lie_closure_dim(generators: list[np.ndarray]) -> int:
     """Real dimension of the smallest commutator-closed span containing the
     generators and the identity.
 
-    Grown by iterated commutators -i[h1, h2] (Hermitian for Hermitian inputs)
-    until the rank stops increasing; rank via singular values above 1e-9.
-    d² means any Hamiltonian on the system can be simulated.
+    A Hermitian matrix is the real vector of its real and imaginary parts, in
+    which the Frobenius product is the dot product. The span grows by the
+    nested commutators -i[g, b] (Hermitian for Hermitian inputs) of each
+    generator g with each element b of the current basis, which one SVD per
+    round makes orthonormal, until the rank stops increasing; the rank counts
+    the singular values above 1e-9·max(1, σ₀). d² means any Hamiltonian on
+    the system can be simulated.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    gens = [hermitize(g, tol=1e-9) for g in generators]
-    d = gens[0].shape[0]
-    basis = [np.eye(d, dtype=complex)] + gens
-    rank = _rank(_vectorize_hermitian(basis))
+    gens = np.stack([hermitize(g, tol=1e-9) for g in generators])
+    d = gens.shape[-1]
+    basis, rank = np.concatenate([np.eye(d, dtype=complex)[None], gens]), 0
     while True:
-        new = list(basis)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                new.append(-1j * (basis[i] @ basis[j] - basis[j] @ basis[i]))
-        vecs = _vectorize_hermitian(new)
-        new_rank = _rank(vecs)
-        if new_rank == rank or new_rank == d * d:
+        brackets = -1j * (gens[:, None] @ basis - basis @ gens[:, None])
+        span = np.concatenate([basis, brackets.reshape(-1, d, d)])
+        vectors = np.concatenate([span.real, span.imag], axis=1).reshape(len(span), 2 * d * d)
+        _, sv, vt = np.linalg.svd(vectors, full_matrices=False)
+        new_rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
+        if new_rank in (rank, d * d):
             return new_rank
-        # keep an orthonormal spanning subset to stop pair growth exploding
-        _, _, vt = np.linalg.svd(vecs, full_matrices=False)
-        basis = _devectorize(vt[:new_rank], d)
-        rank = new_rank
-
-
-def _devectorize(rows: np.ndarray, d: int) -> list[np.ndarray]:
-    iu = np.triu_indices(d, k=1)
-    n_off = len(iu[0])
-    out = []
-    for r in rows:
-        m = np.zeros((d, d), dtype=complex)
-        np.fill_diagonal(m, r[:d])
-        m[iu] = r[d:d + n_off] + 1j * r[d + n_off:]
-        m[(iu[1], iu[0])] = r[d:d + n_off] - 1j * r[d + n_off:]
-        out.append(m)
-    return out
+        parts = vt[:new_rank].reshape(new_rank, 2, d, d)
+        basis, rank = parts[:, 0] + 1j * parts[:, 1], new_rank

@@ -229,8 +229,11 @@ def test_steady_csv_matches_per_cell_format(tmp_path):
     rho, gap = steady_state(build_protocols(cfg)["mf"])
     row = metric_row(cfg, solved=(rho, gap))
     spectrum = [float(x) for x in np.sort(np.linalg.eigvalsh(rho))[::-1]]
+    assert spectrum[0] == row.pop("alpha0")  # the spectrum's first column; the CSV wrote it twice
     assert out.read_bytes() == _per_cell_csv([["scenario", "alpha0", "alpha1", "alpha2", *row],
                                               ["mf-noisy-cooling", *spectrum, *row.values()]])
+    header = out.read_text().splitlines()[0].split(",")
+    assert len(set(header)) == len(header)
 
 
 def test_trajectories_stdout_equals_file(tmp_path):
@@ -459,6 +462,16 @@ def test_eta0_spec_sets_the_recorded_eta0(capsys, tmp_path):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("scenario", ["mf-eta-cooling", "eta-cooling-compare"])
+@pytest.mark.parametrize("eta0", [0.2, 0.5, 0.7])
+def test_matrix_eta_cools_like_the_same_eta0(scenario, eta0):
+    # the MF loop re-prepared the dominant state of diag(eta0, 1-eta0) at the default eta0 = 0.5, whatever the
+    # matrix: {"matrix": [[0.2, 0], [0, 0.8]]} cooled towards |0> and reached purity 0.58 instead of 0.78
+    matrix = metric_row(resolve_config({"scenario": scenario, "eta": {"matrix": [[eta0, 0], [0, 1 - eta0]]}}))
+    family = metric_row(resolve_config({"scenario": scenario, "eta": {"eta0": eta0}}))
+    assert matrix == {key: family[key] for key in matrix}
+
+
 def test_config_with_two_different_eta0_exits_2(capsys, tmp_path):
     config = {"scenario": "mf-eta-cooling", "eta0": 0.9, "eta": {"eta0": 0.3}}
     code, out, err = _steady_with_config(capsys, tmp_path, config)
@@ -473,12 +486,12 @@ def test_config_with_two_different_eta0_exits_2(capsys, tmp_path):
     ({"preset": "clean", "colour": "red"}, "an eta spec needs exactly one of"),
     ({"presets": "clean"}, "an eta spec needs exactly one of"),
     ({"preset": "bogus"}, "bad eta spec {'preset': 'bogus'} at d=2: unknown controller preset 'bogus'"),
-    ("bogus", "bad eta spec 'bogus' at d=2: unknown controller preset 'bogus'"),
+    ("bogus", "an eta spec needs exactly one of 'preset', 'eta0', 'matrix', got 'bogus'"),
     ({"matrix": [[1, 0], [0, 1]]}, "bad eta spec {'matrix': [[1, 0], [0, 1]]} at d=2: controller state has trace"),
-    (None, "bad eta spec None at d=2: "),
+    (None, "an eta spec needs exactly one of 'preset', 'eta0', 'matrix', got None"),
     ({"matrix": [[1]]}, "bad eta spec {'matrix': [[1]]} at d=2: controller state must be 2x2, got shape (1, 1)"),
     ({"preset": [[1]]}, "bad eta spec {'preset': [[1]]} at d=2: controller state must be 2x2, got shape (1, 1)"),
-    ([[1]], "bad eta spec [[1]] at d=2: controller state must be 2x2, got shape (1, 1)"),
+    ([[1]], "an eta spec needs exactly one of 'preset', 'eta0', 'matrix', got [[1]]"),
     ({"matrix": [[["nan", 0], 0], [0, 1]]}, "could not parse matrix: matrix entries must be finite, got ['nan', 0]"),
     ({"matrix": [[float("inf"), 0], [0, 1]]}, "could not parse matrix: matrix entries must be finite, got inf"),
     ({"preset": 10 ** 400}, "bad eta spec {'preset': 1"),
@@ -523,17 +536,28 @@ def test_non_string_scenario_exits_2(capsys, tmp_path, scenario):
     assert err.startswith(f"config error: unknown scenario {scenario!r}; choose from ['ad-cf', ")
 
 
+def _eta0_axis_sweep(capsys, tmp_path, eta) -> tuple[int, str]:
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "eta-cooling-compare", "eta": eta}))
+    out = tmp_path / "o.csv"
+    code = cli.main(["sweep", "--config", str(tmp_path / "cfg.json"), "--sweep", "eta0=0:1:3", "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eta,message", [
     ({"matrix": [[1]]}, "controller state must be 2x2, got shape (1, 1)"),
-    (float("nan"), "eta0 must be in [0,1], got nan"),
 ])
 def test_sweep_checks_the_eta_spec_that_an_eta0_axis_replaces(capsys, tmp_path, eta, message):
     # every point takes its eta0 from the axis, so no point built the config's own spec
-    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "eta-cooling-compare", "eta": eta}))
-    out = tmp_path / "o.csv"
-    assert cli.main(["sweep", "--config", str(tmp_path / "cfg.json"), "--sweep", "eta0=0:1:3", "--out", str(out)]) == 2
-    assert f"config error: bad eta spec {eta!r} at d=2: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    code, err = _eta0_axis_sweep(capsys, tmp_path, eta)
+    assert code == 2 and f"config error: bad eta spec {eta!r} at d=2: {message}" in err
+
+
+@pytest.mark.parametrize("eta", ["clean", 0.3, float("nan"), [[1]]])
+def test_sweep_with_an_eta0_axis_refuses_a_bare_eta(capsys, tmp_path, eta):
+    # a bare eta skipped the spec-form check; nan was caught only as an eta0 out of range
+    code, err = _eta0_axis_sweep(capsys, tmp_path, eta)
+    assert code == 2 and f"config error: an eta spec needs exactly one of 'preset', 'eta0', 'matrix', got {eta!r}" in err
 
 
 @pytest.mark.parametrize("argv,config", [

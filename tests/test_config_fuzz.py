@@ -59,15 +59,15 @@ class _Draw:
                                   [], [[]], 5, "x", None])
 
     def eta(self, d):
-        kind = self.pick(_ETA_KINDS + ("plain",), ["two-kinds", "wrong-type"])
+        kind = self.pick(_ETA_KINDS, ["two-kinds", "wrong-type", "plain"])
         if kind == "preset":
             return {"preset": self.pick(["noisy", "clean"], ["warm", [[1]], 0.3, None])}
         if kind == "eta0":
             return {"eta0": self.pick([0.0, 0.3, 1.0, "0.5"], [-0.1, 1.1, math.nan, math.inf, None])}
         if kind == "matrix":
             return {"matrix": self.matrix(_eye(d, 1.0 / d))}
-        if kind == "plain":
-            return self.pick(["noisy", "clean", 0.3, _eye(d, 1.0 / d)], [math.nan, [[1]], "warm"])
+        if kind == "plain":  # a bare value where an eta object belongs
+            return self.rng.choice(["noisy", "clean", 0.3, _eye(d, 1.0 / d), math.nan, [[1]], "warm"])
         if kind == "two-kinds":
             return {"preset": "clean", "eta0": 0.5}
         return self.pick(WRONG_TYPES)

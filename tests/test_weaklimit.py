@@ -119,3 +119,60 @@ def test_lie_closure_mf_pure_controller_is_full():
 def test_lie_closure_requires_generators():
     with pytest.raises(ValueError):
         lie_closure_dim([])
+
+
+def _random_hermitian(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g + g.conj().T
+
+
+def _on_first_levels(rng, d, k):
+    """A random Hermitian matrix supported on the first k levels."""
+    m = np.zeros((d, d), dtype=complex)
+    m[:k, :k] = _random_hermitian(rng, k)
+    return m
+
+
+def _generator_set(kind, d, seed):
+    rng = np.random.default_rng([seed, d])
+    if kind == "single":
+        return [_random_hermitian(rng, d)]
+    if kind == "diagonal":  # three commuting generators
+        return [np.diag(rng.standard_normal(d)).astype(complex) for _ in range(3)]
+    if kind == "block":
+        return [_on_first_levels(rng, d, d - 1) for _ in range(2)]
+    if kind == "generic":
+        return [_random_hermitian(rng, d) for _ in range(2)]
+    if kind == "mixed-block":  # a block on the first d-1 levels and a diagonal
+        return [_on_first_levels(rng, d, d - 1), np.diag(rng.standard_normal(d)).astype(complex)]
+    # overlapping blocks: one on the first d-1 levels, one on the last two
+    return [_on_first_levels(rng, d, d - 1), _on_first_levels(rng, d, 2)[::-1, ::-1].copy()]
+
+
+# closure dimensions at d = 2, 3, 4, 5, the same for seeds 0 and 1, computed with the
+# earlier implementation, which grew the span by the commutators of all pairs
+PINNED_DIMS = {
+    "single": (2, 2, 2, 2),
+    "diagonal": (2, 3, 4, 4),
+    "block": (2, 5, 10, 17),
+    "generic": (4, 9, 16, 25),
+    "mixed-block": (2, 5, 10, 17),
+    "overlapping": (4, 9, 16, 25),
+}
+
+
+@pytest.mark.parametrize("kind,d,seed,dim", [(kind, d, seed, dims[d - 2]) for kind, dims in PINNED_DIMS.items()
+                                              for d in (2, 3, 4, 5) for seed in (0, 1)])
+def test_lie_closure_pinned_generator_sets(kind, d, seed, dim):
+    assert lie_closure_dim(_generator_set(kind, d, seed)) == dim
+
+
+def test_lie_closure_analytic_cases():
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    assert lie_closure_dim([sz]) == 2  # span{1, σz}
+    pad = np.zeros((3, 3), dtype=complex)
+    sx3, sz3 = pad.copy(), pad.copy()
+    sx3[:2, :2], sz3[:2, :2] = pauli_x, sz
+    assert lie_closure_dim([sx3, sz3]) == 4  # 1 and u(2)'s traceless part on the first two levels
+    commuting = [np.diag([1.0, -1.0, 0.0]).astype(complex), np.diag([1.0, 1.0, -2.0]).astype(complex)]
+    assert lie_closure_dim(commuting) == 3
