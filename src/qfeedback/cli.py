@@ -8,7 +8,9 @@ oracle-vs-simulator check table).
 Every invocation resolves flags over the JSON config over scenario defaults;
 runs that write an output file also write a `<out>.meta.json` sidecar with
 the fully resolved configuration, seed and package version, which is enough
-to reproduce the output byte for byte.
+to reproduce the output byte for byte. An existing output file is written
+over in place and cut to length; an `--out` that cannot name a new or
+existing file is refused before anything is computed.
 
 A sweep computes all its points as one batch. Points whose steady state is
 degenerate are left out of the CSV, named on stderr and listed under
@@ -33,6 +35,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -56,12 +59,24 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+@contextlib.contextmanager
+def _overwritten(path: str):
+    """`path` opened for text, written from its first byte over what it held and cut to length on success.
+    An existing file keeps its inode, links and mode, as with `open(path, "w")`, but is not truncated to zero
+    first: on ext4 that truncation waits for the writeback its previous truncation set off. Only a regular
+    file is cut; a device, FIFO or tty is left be, as `O_TRUNC` leaves it."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="\n") as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write_csv(path: str | None, header: list[str], blocks) -> None:
     """Write the CSV to `path`, or to stdout. `blocks` holds a (row template, columns) pair per block
     of rows sharing a layout. Each column's cells are texts that end with the literal following the
     column in the template (the first column's also start with the template's leading literal), so a
     chunk of CSV_CHUNK_ROWS rows is its columns' texts interleaved and written by one `"".join`."""
-    with open(path, "w", newline="\n") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with _overwritten(path) if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for template, columns in blocks:
             literals = _CONVERSION.split(template)
@@ -104,8 +119,10 @@ def _row_blocks(rows: list[list]) -> list:
 
 
 def _write_sidecar(path: str, command: str, cfg: dict, **outcome) -> None:
+    if not os.path.isfile(path):  # /dev/null, a FIFO or a tty keeps no output for a sidecar to describe
+        return
     meta = {"command": command, "config": cfg, "version": __version__, **outcome}
-    with open(path + ".meta.json", "w", newline="\n") as fh:
+    with _overwritten(path + ".meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -249,10 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     from .validate import run_all  # deferred: only this command needs the check table
-    try:
-        results = run_all(points=args.points, only=args.only)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = run_all(points=args.points, only=args.only)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -263,12 +277,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
+def _output_path(path: str) -> str:
+    """The `--out` path, checked as it is parsed, so that one no file can be written to (empty, a directory,
+    or in a directory that does not exist) is refused before anything is computed."""
+    parent = os.path.dirname(path) or "."
+    if not path:
+        raise argparse.ArgumentTypeError(f"{path!r} names no file")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"{path!r}: directory {parent!r} does not exist")
+    return path
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--scenario", help="scenario name (overrides config)")
     for p in PARAMETERS:
         sp.add_argument(f"--{p.name}", type=p.type, help=p.help)
-    sp.add_argument("--out", help="output CSV path (writes a .meta.json sidecar)")
+    sp.add_argument("--out", type=_output_path, help="output CSV path (writes a .meta.json sidecar)")
 
 
 @functools.cache

@@ -469,7 +469,7 @@ def run_all(points: int = 100, only: str | None = None) -> list[CheckResult]:
     if only is not None:
         groups = [(name, fn) for name, fn in CHECK_GROUPS if only in name]
         if not groups:
-            raise KeyError(f"no validation check matches {only!r}")
+            raise ConfigError(f"no validation check matches {only!r}")
     results: list[CheckResult] = []
     for name, fn in groups:
         try:

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -244,6 +246,71 @@ def test_trajectories_stdout_equals_file(tmp_path):
     r = subprocess.run(args, capture_output=True)
     assert r.returncode == 0
     assert r.stdout == out.read_bytes()
+
+
+SHORT_SWEEP = ["sweep", "--scenario", "mf-noisy-cooling", "--sweep", "tau=0.1:0.9:3"]
+
+
+def _fresh_sweep(tmp_path) -> bytes:
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main([*SHORT_SWEEP, "--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+def test_an_output_over_a_longer_file_equals_one_to_a_fresh_path(capsys, tmp_path):
+    # an existing output is written over in place, so the stale tail must be cut from the CSV and the sidecar
+    traj = ["trajectories", "--scenario", "mf-noisy-cooling", "--d", "3", "--seed", "7"]
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    assert cli.main([*traj, "--steps", "40", "--ntraj", "1000", "--out", str(out)]) == 0
+    stale = [out.stat().st_size, Path(f"{out}.meta.json").stat().st_size]
+    for path in (out, fresh):
+        assert cli.main([*traj, "--steps", "3", "--ntraj", "2", "--out", str(path)]) == 0
+    for suffix, stale_size in zip(["", ".meta.json"], stale):
+        new, expected = Path(f"{out}{suffix}").read_bytes(), Path(f"{fresh}{suffix}").read_bytes()
+        assert len(expected) < stale_size and new == expected
+
+
+def test_an_output_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"stale\n" * 10 ** 4)
+    link.symlink_to(target)
+    assert cli.main([*SHORT_SWEEP, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == _fresh_sweep(tmp_path)
+
+
+def test_an_output_keeps_its_inode_hard_links_and_mode(capsys, tmp_path):
+    out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    out.write_bytes(b"stale\n" * 10 ** 4)
+    out.chmod(0o640)
+    os.link(out, other)
+    before = out.stat()
+    assert cli.main([*SHORT_SWEEP, "--out", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert out.read_bytes() == other.read_bytes() == _fresh_sweep(tmp_path)
+
+
+def test_sweep_to_dev_null_exits_0_and_writes_no_sidecar(capsys):
+    sidecar = Path(os.devnull + ".meta.json")
+    mtime = sidecar.stat().st_mtime_ns if sidecar.exists() else None
+    assert cli.main([*SHORT_SWEEP, "--out", os.devnull]) == 0
+    assert (sidecar.stat().st_mtime_ns if sidecar.exists() else None) == mtime
+
+
+@pytest.mark.parametrize("out,reason", [("", "'' names no file"), ("dir", "'dir' is a directory"),
+                                        ("missing/x.csv", "'missing/x.csv': directory 'missing' does not exist")],
+                         ids=["empty", "directory", "no-parent"])
+@pytest.mark.parametrize("command", [["steady"], ["sweep", "--sweep", "tau=0.1:0.9:3"], ["trajectories"]],
+                         ids=["steady", "sweep", "trajectories"])
+def test_an_unusable_out_exits_2_before_the_command_runs(monkeypatch, capsys, tmp_path, command, out, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    monkeypatch.setattr(cli, f"cmd_{command[0]}", lambda args: pytest.fail("the command ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--scenario", "mf-noisy-cooling", "--out", out])
+    assert exc.value.code == 2
+    assert f"error: argument --out: {reason}\n" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 def test_eta0_beyond_qubit_exits_2():
@@ -954,9 +1021,9 @@ def test_validate_points_below_one_exits_2(capsys, points):
     assert out == "" and f"config error: points per oracle grid must be at least 1, got {points}" in err
 
 
-def test_validate_unknown_filter_exits_2():
-    r = run_cli("validate", "--only", "zzz-no-such-check")
-    assert r.returncode == 2
+def test_validate_unknown_filter_exits_2(capsys):
+    assert cli.main(["validate", "--only", "zzz-no-such-check"]) == 2
+    assert capsys.readouterr() == ("", "config error: no validation check matches 'zzz-no-such-check'\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"
