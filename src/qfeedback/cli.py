@@ -41,7 +41,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .loop import MAX_THREADS, DegenerateSteadyStateError, sample_ensemble, steady_state
+from .loop import MAX_THREADS, DegenerateSteadyStateError, _mulhi, sample_ensemble, steady_state
 from .quantum import maximally_mixed
 from .scenarios import PARAMETERS, SCENARIOS, ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 
@@ -75,7 +75,8 @@ def _write_csv(path: str | None, header: list[str], blocks) -> None:
     """Write the CSV to `path`, or to stdout. `blocks` holds a (row template, columns) pair per block
     of rows sharing a layout. Each column's cells are texts that end with the literal following the
     column in the template (the first column's also start with the template's leading literal), so a
-    chunk of CSV_CHUNK_ROWS rows is its columns' texts interleaved and written by one `"".join`."""
+    chunk of CSV_CHUNK_ROWS rows is its columns' texts interleaved and written by one `"".join`. The
+    bytes are those of per-cell `{:.15g}` formatting (see `_column_cells`)."""
     with _overwritten(path) if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for template, columns in blocks:
@@ -96,19 +97,107 @@ def _column_cells(fmt: str, column):
     bytes of `{:.15g}`). A list whose format is a bare `%s` holds its texts ready-made; any other
     list is formatted cell by cell. A numpy column of which at most half the values are distinct has
     each distinct value formatted once, keyed on its bits (so -0.0 and 0.0 stay apart); any other is
-    formatted a chunk at a time by one `%` over the chunk, split on a NUL, which `%.15g` and `%d`
-    never write, so its texts never outlive the chunk."""
+    formatted a chunk at a time, so its texts never outlive the chunk. Either way a numpy column is
+    converted by `_texts` in pieces of at most CSV_CHUNK_ROWS values."""
     if not isinstance(column, np.ndarray):
         return column.__getitem__ if fmt == "%s" else lambda rows: [fmt % x for x in column[rows]]
     keys, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
     if 2 * len(keys) > len(column):
-        return lambda rows: _formatted(fmt, column[rows].tolist())
-    text = np.array([fmt % x for x in keys.view(column.dtype).tolist()], dtype=object)
+        return lambda rows: _texts(fmt, column[rows])
+    values, text = keys.view(column.dtype), np.empty(len(keys), dtype=object)
+    for start in range(0, len(keys), CSV_CHUNK_ROWS):
+        text[start:start + CSV_CHUNK_ROWS] = _texts(fmt, values[start:start + CSV_CHUNK_ROWS])
     return lambda rows: text[inverse[rows]].tolist()
+
+
+def _texts(fmt: str, values: np.ndarray) -> list[str]:
+    """`fmt % x` for each value. A `%.15g` float64 value in [1e-4, 1) that does not round up to 1 is
+    written by `_fraction_texts`, in numpy; every other value (0, -0, 1 and up, below 1e-4, negative or
+    not finite, and any integer) by one `%` over them all, split on a NUL, which `%.15g` and `%d` never
+    write."""
+    prefix, conversion, suffix = fmt.partition("%.15g")
+    fraction = (values >= 1e-4) & (values < 1) if conversion and values.dtype == np.float64 else False
+    if not np.any(fraction):
+        return _formatted(fmt, values.tolist())
+    k, digits = _decimal_digits(values[fraction])
+    fraction[fraction] = k > 14  # k = 14 is a value that prints as 1
+    texts = _fraction_texts(prefix, suffix, k[k > 14], digits[k > 14])
+    if fraction.all():
+        return texts
+    out = np.empty(len(values), dtype=object)
+    out[fraction] = texts
+    out[~fraction] = _formatted(fmt, values[~fraction].tolist())
+    return out.tolist()
 
 
 def _formatted(fmt: str, values: list) -> list[str]:
     return ("\0".join([fmt] * len(values)) % tuple(values)).split("\0")
+
+
+_POW5 = np.array([5 ** k for k in range(20)], dtype=np.uint64)
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For float64 values in [1e-4, 1): the number k of decimals that `%.15g` writes of each, and its 15
+    significant digits, x·10^k rounded half to even exactly (a value that rounds up to 1 has k = 14)."""
+    k = 14 - np.floor(np.log10(x)).astype(np.intp)
+    digits = _scaled_rounded(x, k)
+    missed = (digits < 10 ** 14) | (digits >= 10 ** 15)  # log10 is off by one next to a power of ten
+    if missed.any():
+        k[missed] += np.where(digits[missed] < 10 ** 14, 1, -1)
+        digits[missed] = _scaled_rounded(x[missed], k[missed])
+    return k, digits
+
+
+def _scaled_rounded(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x·10^k rounded half to even, exactly, for float64 x in [1e-4, 1) and k in 14…19: x = m·2^-e, so
+    x·10^k = m·5^k / 2^(e-k), a 128-bit integer product shifted right with its remainder against the half."""
+    bits = x.view(np.uint64)
+    mantissa = bits & np.uint64(2 ** 52 - 1) | np.uint64(2 ** 52)
+    shift = np.uint64(1075) - (bits >> np.uint64(52)) - k.astype(np.uint64)  # 37…49
+    lo, hi = mantissa * _POW5[k], _mulhi(mantissa, _POW5[k])
+    rounded = hi << (np.uint64(64) - shift) | lo >> shift
+    rest, half = lo & ((np.uint64(1) << shift) - np.uint64(1)), np.uint64(1) << (shift - np.uint64(1))
+    return rounded + ((rest > half) | ((rest == half) & (rounded & np.uint64(1) == 1)))
+
+
+def _digit_words(head: bytes, width: int) -> np.ndarray:
+    """4-byte words, `head` and then the `width` digits of i, for i below 10^width; at i + 10^width the
+    same text with the trailing zeros of its digits turned into \\1, which `_fraction_texts` deletes."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    texts = np.stack(np.meshgrid(*[digit] * width, indexing="ij"), axis=-1).reshape(-1, width)
+    stripped, zero = texts.copy(), True
+    for j in range(width - 1, -1, -1):
+        zero = zero & (texts[:, j] == ord("0"))
+        stripped[zero, j] = 1
+    texts = np.concatenate([texts, stripped])
+    heads = np.tile(np.frombuffer(head, np.uint8), (len(texts), 1))
+    return np.concatenate([heads, texts], axis=1).view(np.uint32).ravel()
+
+
+_HEAD_WORDS, _GROUP_WORDS = _digit_words(b"0.", 2), _digit_words(b"", 4)
+
+
+def _fraction_texts(prefix: str, suffix: str, k: np.ndarray, digits: np.ndarray) -> list[str]:
+    """prefix + "0." + the k decimals of digits·10^-k without trailing zeros + suffix, for 15-digit
+    `digits` and k in 15…18 (the `%.15g` text of a value in [1e-4, 1)). The 18 decimals, padded with
+    zeros, are five words of `_digit_words`: 2 digits after "0.", then four groups of 4. Each row is
+    written as words, the prefix padded in front and the suffix plus a NUL behind with \\1, and the
+    whole is one byte buffer: its \\1s deleted, then split on the NULs."""
+    decimals = digits * _POW10[18 - k]
+    pre = np.frombuffer(prefix.encode("ascii").rjust(-(-len(prefix) // 4) * 4, b"\1"), np.uint32)
+    post = np.frombuffer((suffix + "\0").encode("ascii").ljust(-(-(len(suffix) + 1) // 4) * 4, b"\1"), np.uint32)
+    words = np.empty((len(decimals), len(pre) + 5 + len(post)), dtype=np.uint32)
+    words[:, :len(pre)], words[:, len(pre) + 5:] = pre, post
+    zero_after = np.ones(len(decimals), dtype=bool)  # every group after this one is 0000
+    for j in range(4, 0, -1):
+        quotient = decimals // np.uint64(10 ** 4)
+        group, decimals = decimals - quotient * np.uint64(10 ** 4), quotient
+        words[:, len(pre) + j] = _GROUP_WORDS[group + np.uint64(10 ** 4) * zero_after]
+        zero_after &= group == 0
+    words[:, len(pre)] = _HEAD_WORDS[decimals + np.uint64(100) * zero_after]
+    return words.tobytes().translate(None, b"\1").decode("ascii").split("\0")[:-1]
 
 
 def _row_blocks(rows: list[list]) -> list:

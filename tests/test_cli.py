@@ -39,6 +39,9 @@ def test_steady_cf_clean_is_pure():
 
 
 def test_steady_cf_noisy_is_maximally_mixed():
+    """The text `spectrum: 0.5, 0.5` holds on the default OpenBLAS kernel and with
+    OPENBLAS_CORETYPE=Haswell or Sandybridge; under Prescott one eigenvalue
+    prints as 0.499999999999999."""
     # any in-loop unitary: a rotated loop still cannot beat the mixed controller
     r = run_cli("steady", "--scenario", "cf-noisy", "--tau", "0.3", "--lambda", "0.8",
                 "--chi", "0.7", "--phi1", "0.4")
@@ -173,25 +176,36 @@ def test_chunked_csv_writer_matches_per_cell_format(tmp_path, n_rows):
     values (formatted once per distinct value, or a chunk at a time), with -0.0,
     nan and inf cells, 4-byte ints (np.arange's int on some platforms), and a
     list of ready-made `%s` texts that carry their own comma (the trajectory id
-    and step columns)."""
+    and step columns). Two columns of values in [0, 1), one about 40% distinct and
+    one all distinct, start with the edges of the numpy conversion's domain
+    [1e-4, 1): 0, -0, 1, 1e-4 and the value below it, 0.1 and its neighbours, and
+    0.99999999999999994, which prints as 1."""
     rng = np.random.default_rng(n_rows)
     special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-300])
+    edges = np.array([0.0, -0.0, 1.0, 1e-4, np.nextafter(1e-4, 0), np.nextafter(0.1, 0), 0.1, np.nextafter(0.1, 1),
+                      0.99999999999999994])
     ids = np.arange(n_rows) // 7
     repeated_ints = np.arange(n_rows, dtype=np.int32) // 3
     distinct_ints = rng.integers(-2 ** 62, 2 ** 62, n_rows)
     repeated_floats = rng.choice(special, n_rows)
     distinct_floats = np.where(rng.random(n_rows) < 0.2, rng.choice(special, n_rows), rng.normal(0, 1e3, n_rows))
+    pool = np.concatenate([edges, rng.random(n_rows)])[:max(len(edges), 2 * n_rows // 5)]
+    repeated_fractions = np.concatenate([pool, rng.choice(pool, n_rows)])[:n_rows]
+    distinct_fractions = np.concatenate([edges, rng.random(n_rows)])[:n_rows]
     means = rng.random(n_rows // 2 + 1)
     out = tmp_path / "t.csv"
-    cli._write_csv(str(out), ["id", "a", "b", "c", "d"], [
-        ("%s%d,%d,%.15g,%.15g\n",
-         [[f"{i}," for i in ids], repeated_ints, distinct_ints, repeated_floats, distinct_floats]),
-        ("mean,,,%.15g,\n", [means]),
+    header = ["id", "a", "b", "c", "d", "e", "f"]
+    cli._write_csv(str(out), header, [
+        ("%s%d,%d,%.15g,%.15g,%.15g,%.15g\n",
+         [[f"{i}," for i in ids], repeated_ints, distinct_ints, repeated_floats, distinct_floats,
+          repeated_fractions, distinct_fractions]),
+        ("mean,,,%.15g,,,\n", [means]),
     ])
-    rows = [["id", "a", "b", "c", "d"]]
-    rows += [[int(k), int(i), int(j), float(x), float(y)]
-             for k, i, j, x, y in zip(ids, repeated_ints, distinct_ints, repeated_floats, distinct_floats)]
-    rows += [["mean", None, None, float(x), None] for x in means]
+    rows = [header]
+    rows += [[int(k), int(i), int(j), float(x), float(y), float(u), float(v)]
+             for k, i, j, x, y, u, v in zip(ids, repeated_ints, distinct_ints, repeated_floats, distinct_floats,
+                                            repeated_fractions, distinct_fractions)]
+    rows += [["mean", None, None, float(x), None, None, None] for x in means]
     assert out.read_bytes() == _per_cell_csv(rows)
 
 
@@ -207,6 +221,54 @@ def test_csv_writer_memory_stays_within_a_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_csv_writer_memory_of_three_quarters_distinct_columns(tmp_path):
+    """Columns of 40000 values in [0, 1), 30000 of them distinct, the share of the most
+    distinct trajectory columns: they are formatted a chunk at a time, as a column of
+    all-distinct values is, within the same bound."""
+    columns = []
+    for k in range(3):
+        rng = np.random.default_rng(k)
+        values = rng.random(30000)
+        columns.append(rng.permutation(np.concatenate([values, rng.choice(values, 10000)])))
+    assert all(len(np.unique(c)) == 30000 for c in columns)
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], [("%.15g,%.15g,%.15g\n", columns)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_numpy_conversion_equals_percent_format():
+    """The numpy `%.15g` of values in [1e-4, 1) equals Python's on uniform and
+    log-uniform values, on every exact binary tie a/2^j of the domain (x·10^k is
+    then a half-integer, k = j - 1 the decimals written), on values next to
+    15-digit ties, and on each power of ten and its neighbours. A value that rounds
+    up to 1 is left to `%`, which writes `1`."""
+    rng = np.random.default_rng(2204)
+    ties = []
+    for j in range(16, 20):  # k = j - 1 decimals are written in [10^(15-j), 10^(16-j))
+        a = np.arange(1, 2 ** j, 2)
+        ties.append(a[(a >= 10.0 ** (15 - j) * 2 ** j) & (a < 10.0 ** (16 - j) * 2 ** j)] / 2 ** j)
+    k = rng.integers(15, 19, 40000)
+    near_ties = (rng.integers(10 ** 14, 10 ** 15, 40000) + 0.5) / 10.0 ** k
+    powers = 10.0 ** np.arange(-3, 0)
+    x = np.concatenate([rng.random(500000), 10 ** rng.uniform(-4, 0, 500000), *ties,
+                        near_ties, np.nextafter(near_ties, 0), np.nextafter(near_ties, 1),
+                        [1e-4, np.nextafter(1e-4, 1), 0.9999999999999995], powers, np.nextafter(powers, 0),
+                        np.nextafter(powers, 1)])
+    x = x[(x >= 1e-4) & (x < 1)]
+    assert len(x) > 10 ** 6 and sum(map(len, ties)) > 36000
+    k, digits = cli._decimal_digits(x)
+    assert (k > 14).all()
+    texts = cli._fraction_texts("", "", k, digits)
+    assert texts == ["%.15g" % v for v in x.tolist()]
+    up = np.array([np.nextafter(0.9999999999999995, 1), 0.99999999999999994, np.nextafter(1, 0)])
+    assert (cli._decimal_digits(up)[0] == 14).all()
+    assert cli._texts("%.15g,", up) == ["1,"] * 3
 
 
 @pytest.mark.parametrize("argv", [
