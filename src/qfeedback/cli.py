@@ -101,9 +101,15 @@ def _column_cells(fmt: str, column):
     converted by `_texts` in pieces of at most CSV_CHUNK_ROWS values."""
     if not isinstance(column, np.ndarray):
         return column.__getitem__ if fmt == "%s" else lambda rows: [fmt % x for x in column[rows]]
-    keys, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    if 2 * len(keys) > len(column):
+    bits = column.view(f"u{column.itemsize}")
+    order = np.argsort(bits)  # one sort counts the distinct values and, where they are kept, gives the inverse
+    ordered, first = bits[order], np.empty(len(bits), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > len(column):
         return lambda rows: _texts(fmt, column[rows])
+    keys, inverse = ordered[first], np.empty(len(bits), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1  # as np.unique(bits, return_inverse=True) makes them
     values, text = keys.view(column.dtype), np.empty(len(keys), dtype=object)
     for start in range(0, len(keys), CSV_CHUNK_ROWS):
         text[start:start + CSV_CHUNK_ROWS] = _texts(fmt, values[start:start + CSV_CHUNK_ROWS])

@@ -25,7 +25,13 @@ the worker pool.
 
 Many protocols (the points of a sweep) are built as one (P, J, d², d²) stack
 by `branch_liouvillians` and solved as one batch by `steady_states`; a single
-protocol is the one-point case of both.
+protocol is the one-point case of both. The build runs over blocks of (point,
+outcome) pairs whose temporaries hold about BUILD_BLOCK_BYTES: whole points
+where they fit, else some outcomes of one point. One kernel writes a block's
+Kraus tensors in place, and its Liouville and noise products go into the
+preallocated L, so a build never holds a full-size temporary. L keeps the bits
+of the four Kraus outer products written out over the whole stack, the oracle
+in tests/reference.py.
 
 The controller is a single qudit; protocols with composite controllers are
 out of scope (the stage types are the extension point).
@@ -57,6 +63,9 @@ MAX_DIM = 16
 # A batch of protocols is built and solved in blocks whose L stacks hold at
 # most this many bytes (at least one protocol per block).
 MAX_BLOCK_BYTES = 1 << 24
+# branch_liouvillians builds L in blocks of (point, outcome) pairs whose temporaries
+# hold about this many bytes (at least one pair per block)
+BUILD_BLOCK_BYTES = 1 << 19
 # sample_ensemble starts one OS thread per worker
 MAX_THREADS = 64
 
@@ -65,14 +74,19 @@ class DegenerateSteadyStateError(RuntimeError):
     """The cycle superoperator has more than one eigenvalue of unit magnitude."""
 
 
-def _check_unitary(u: np.ndarray, d: int, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"{what} must be {d}x{d}, got {u.shape}")
-    dev = max_abs(u.conj().T @ u - np.eye(d))
-    if not dev <= HERMITICITY_TOL:
-        raise ValueError(f"{what} is not unitary: max|U†U - 1| = {dev:.3e}")
-    return u
+def _check_unitaries(us, d: int, what: str) -> np.ndarray:
+    """The matrices `us` stacked (n, d, d), each checked to be a d x d unitary.
+    A refusal names the first matrix that fails: `what` with its index j filled in."""
+    us = [np.asarray(u, dtype=complex) for u in us]
+    n = next((j for j, u in enumerate(us) if u.shape != (d, d)), len(us))  # the matrices before a mis-shaped one
+    stack = np.array(us[:n]).reshape(n, d, d)
+    dev = np.abs(np.swapaxes(stack.conj(), 1, 2) @ stack - np.eye(d)).max(axis=(1, 2))
+    if not dev.max(initial=0.0) <= HERMITICITY_TOL:  # NaN fails too
+        j = int(np.argmin(dev <= HERMITICITY_TOL))
+        raise ValueError(f"{what.format(j=j)} is not unitary: max|U†U - 1| = {dev[j]:.3e}")
+    if n < len(us):
+        raise ValueError(f"{what.format(j=n)} must be {d}x{d}, got {us[n].shape}")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +96,7 @@ class CoherentStage:
     unitary: np.ndarray
 
     def controller_ops(self, d: int) -> list[np.ndarray]:
-        return [_check_unitary(self.unitary, d, "in-loop unitary")]
+        return list(_check_unitaries([self.unitary], d, "in-loop unitary"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +113,11 @@ class ProjectiveStage:
     def controller_ops(self, d: int) -> list[np.ndarray]:
         if len(self.feedback) != d:
             raise ValueError(f"need {d} feedback unitaries, got {len(self.feedback)}")
-        b = np.eye(d, dtype=complex) if self.basis is None else _check_unitary(self.basis, d, "measurement basis")
-        ops = []
-        for j, v in enumerate(self.feedback):
-            vj = _check_unitary(v, d, f"feedback unitary {j}")
-            proj = np.outer(b[:, j], b[:, j].conj())
-            ops.append(vj @ proj)
-        return ops
+        b = (np.eye(d, dtype=complex) if self.basis is None
+             else _check_unitaries([self.basis], d, "measurement basis")[0])
+        v = _check_unitaries(self.feedback, d, "feedback unitary {j}")
+        proj = b.T[:, :, None] * b.T.conj()[:, None, :]  # P_j = |b_j><b_j|, as np.outer makes it
+        return list(v @ proj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,24 +219,59 @@ def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.
     eta = check_density_matrix(eta, what="controller reset state")
     n_pts, n_j, d, _ = ops.shape
     e, f = np.linalg.eigh(eta)
+    # c₁₁, ic₁₂, ic₂₁ and c₂₂ of each point, all complex: a real c as c + 0j, as numpy promotes it
+    coef = np.sqrt(np.array([tau2, 1.0 - tau2])[:, None] * np.array([tau1, 1.0 - tau1])).astype(complex)
+    coef = coef.reshape(4, n_pts, 1, 1, 1, 1, 1)
+    coef[1:3] *= 1j
     # a pure or rank-deficient reset state needs fewer Kraus terms: points are built by the support of η
     keep = e != 0.0
     support_codes = keep @ (1 << np.arange(d))
     out = np.empty((n_pts, n_j, d * d, d * d), dtype=complex)
-    eye = np.eye(d)
     for code in dict.fromkeys(support_codes.tolist()):
         pts = np.flatnonzero(support_codes == code)
         support = keep[pts[0]]
-        ep, fp, m = e[pts][:, support], f[pts][:, :, support], ops[pts]
-        t1, t2 = tau1[pts, None, None, None, None, None], tau2[pts, None, None, None, None, None]
-        mf = m @ fp[:, None]
-        kraus = (np.sqrt(t2 * t1) * np.einsum("pjkl,ab->pjklab", mf, eye)
-                 - 1j * np.sqrt(t2 * (1.0 - t1)) * np.einsum("pal,pjkb->pjklab", fp, m)
-                 - 1j * np.sqrt((1.0 - t2) * t1) * np.einsum("pjal,kb->pjklab", mf, eye)
-                 - np.sqrt((1.0 - t2) * (1.0 - t1)) * np.einsum("pkl,pjab->pjklab", fp, m))
-        kraus = kraus.reshape(len(pts), n_j, d * ep.shape[1], d, d)  # [p, j, (k, l), a, b]
-        out[pts] = _liouville(kraus, np.tile(ep, d)[:, None]) @ noise[pts, None]
+        r = int(support.sum())
+        fp, m, noise_pts = f[pts][:, :, support], ops[pts], noise[pts, None]
+        weights = np.concatenate([e[pts][:, support]] * d, axis=1)[:, None]  # the weight e_l of Kraus term (k, l)
+        mf = m @ fp[:, None] + 0.0  # <k|M_j|f_l>, its -0 made +0 as by einsum's +0 + mf·1
+        # A block is some points with all their outcomes, or some outcomes of one point. A pair's
+        # temporaries: its Kraus tensor, the kernel's scratch and two more of that size in _liouville,
+        # and three d²xd² matrices.
+        pairs = max(1, BUILD_BLOCK_BYTES // (16 * (4 * d ** 3 * r + 3 * d ** 4)))
+        n_p, n_o = (pairs // n_j, n_j) if pairs >= n_j else (1, pairs)
+        for i in range(0, len(pts), n_p):
+            at = slice(i, i + n_p)
+            for j in range(0, n_j, n_o):
+                o = slice(j, j + n_o)
+                kraus = _kraus_block(coef[:, pts[at]], fp[at], m[at, o], mf[at, o])
+                liouv = _liouville(kraus.reshape(*kraus.shape[:2], d * r, d, d), weights[at])
+                out[pts[at], o] = liouv @ noise_pts[at]
     return out
+
+
+def _kraus_block(coef, fp, m, mf) -> np.ndarray:
+    """The Kraus tensors A[p, j, k, l, a, b], shape (P, J, d, r, d, d), of a block
+    of points and outcomes, from each point's coefficients coef (4, P, 1, 1, 1, 1, 1)
+    and η eigenvectors fp (P, d, r), and each pair's controller operator m
+    (P, J, d, d) and mf = m·fp + 0 (P, J, d, r).
+
+    The four terms T1 = c₁₁ mf⊗1, T2 = ic₁₂ |f_l><k|M, T3 = ic₂₁ M|f_l><k| and
+    T4 = c₂₂ <k|f_l>M are combined as ((T1 - T2) - T3) - T4, each with the bits of
+    its einsum outer product (+0 + product) times its coefficient. T1 is +0 off
+    its a = b diagonal and T3 off its k = b diagonal, and x - (+0) is x, so these
+    two are written on their diagonals only, where einsum's +0 + mf·1 is mf + 0."""
+    c11, c12, c21, c22 = coef
+    n_p, n_o, d, r = mf.shape
+    dense = np.einsum("pal,pjkb->pjklab", fp, m, out=np.empty((n_p, n_o, d, r, d, d), dtype=complex))
+    np.multiply(c12, dense, out=dense)
+    kraus = np.subtract(0.0, dense)
+    np.subtract(c11[..., 0] * mf[..., None], np.einsum("pjklaa->pjkla", dense), out=np.einsum("pjklaa->pjkla", kraus))
+    on_kb = np.einsum("pjklak->pjkla", kraus)
+    on_kb -= c21[..., 0] * np.swapaxes(mf, -1, -2)[:, :, None]
+    np.einsum("pkl,pjab->pjklab", fp, m, out=dense)
+    np.multiply(c22, dense, out=dense)
+    kraus -= dense
+    return kraus
 
 
 def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:

@@ -6,13 +6,18 @@ the two: Kronecker products and partial traces over the system-controller
 space, Kraus sums and direct closed-form channels, Hermitian spectra and the
 majorisation order, and a Monte-Carlo sampler over Haar-random qubit states.
 The partial-swap coupling itself is `qfeedback.quantum.partial_swap`.
+
+`branch_liouvillians` is the other kind of reference: it builds the branch
+stack L with each Kraus tensor written out whole, as four outer products, and
+the blocked kernel `qfeedback.loop.branch_liouvillians` must reproduce it bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qfeedback.loop import build_superoperator
+from qfeedback.loop import _liouville, build_superoperator
 from qfeedback.metrics import _bitflip_fidelities
 from qfeedback.quantum import KrausChannel, check_density_matrix, hermitize, ket
 
@@ -129,3 +134,30 @@ def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
     z = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
     psi = z / np.linalg.norm(z, axis=1, keepdims=True)
     return float(_bitflip_fidelities(build_superoperator(p), psi).mean())
+
+
+def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The branch stacks (P, J, d², d²) of `qfeedback.loop.branch_liouvillians`
+    (same arguments; the transmissivities are not checked), each Kraus tensor
+    built whole as the sum of four einsum outer products, ((T1 - T2) - T3) - T4,
+    and the Liouville and noise products taken over the whole stack at once."""
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    n_pts, n_j, d, _ = ops.shape
+    e, f = np.linalg.eigh(check_density_matrix(eta, what="controller reset state"))
+    keep = e != 0.0
+    support_codes = keep @ (1 << np.arange(d))
+    out = np.empty((n_pts, n_j, d * d, d * d), dtype=complex)
+    eye = np.eye(d)
+    for code in dict.fromkeys(support_codes.tolist()):
+        pts = np.flatnonzero(support_codes == code)
+        support = keep[pts[0]]
+        ep, fp, m = e[pts][:, support], f[pts][:, :, support], ops[pts]
+        t1, t2 = tau1[pts, None, None, None, None, None], tau2[pts, None, None, None, None, None]
+        mf = m @ fp[:, None]
+        kraus = (np.sqrt(t2 * t1) * np.einsum("pjkl,ab->pjklab", mf, eye)
+                 - 1j * np.sqrt(t2 * (1.0 - t1)) * np.einsum("pal,pjkb->pjklab", fp, m)
+                 - 1j * np.sqrt((1.0 - t2) * t1) * np.einsum("pjal,kb->pjklab", mf, eye)
+                 - np.sqrt((1.0 - t2) * (1.0 - t1)) * np.einsum("pkl,pjab->pjklab", fp, m))
+        kraus = kraus.reshape(len(pts), n_j, d * ep.shape[1], d, d)  # [p, j, (k, l), a, b]
+        out[pts] = _liouville(kraus, np.tile(ep, d)[:, None]) @ noise[pts, None]
+    return out

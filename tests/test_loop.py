@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,8 +48,9 @@ from qfeedback.quantum import (
     random_kraus_channel,
     random_unitary,
 )
-from qfeedback.scenarios import build_protocols, resolve_config
+from qfeedback.scenarios import build_protocols, metric_rows, resolve_config
 
+import reference
 from reference import partial_trace
 
 
@@ -501,6 +503,102 @@ def test_batched_build_checks_every_point():
         branch_liouvillians([0.5, 0.5], [0.5, 1.5], eta, ops.repeat(2, 0), noise.repeat(2, 0))
     with pytest.raises(ValueError, match="controller reset state has trace"):
         branch_liouvillians([0.5, 0.5], [0.5, 0.5], eta * [[[1.0]], [[2.0]]], ops.repeat(2, 0), noise.repeat(2, 0))
+
+
+
+def _bits(a):
+    """The raw words of a complex array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _reset_states(d, rng):
+    """η pure (one exact nonzero eigenvalue), maximally mixed, random mixed and,
+    for d > 2, rank-deficient but not pure."""
+    etas = {"pure": dm(ket(d, 1)), "maximally-mixed": maximally_mixed(d), "mixed": random_density_matrix(d, rng)}
+    if d > 2:
+        etas["rank-deficient"] = np.diag([0.6, 0.4] + [0.0] * (d - 2)).astype(complex)
+    return etas
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_blocked_build_is_bitwise_the_four_outer_products(d):
+    """The blocked kernel writes L with the bits of the former whole-stack
+    expression (`reference.branch_liouvillians`), signed zeros included, for J = 1
+    (a coherent stage) and J = d (a projective stage, whose operators hold exact
+    zeros, and a POVM), every kind of η and τ₁, τ₂ in {0, 1/2, 1, random}: the 16
+    pairs are the points of one batch, or at d = 16 four single-point builds in
+    which each value appears once as τ₁ and once as τ₂."""
+    rng = np.random.default_rng(220 + d)
+    stages = {"coherent": CoherentStage(random_unitary(d, rng)), "projective": all_to_target_stage(d, 1)}
+    if d < 16:
+        stages["povm"] = PovmStage(kraus=random_kraus_channel(d, d, rng).kraus)
+    noise = noise_liouville(depolarizing_channel(d, rng.uniform(0.1, 1.0)))
+    values = [0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)]
+    taus = list(itertools.product(values, values))
+    for (sn, stage), (en, eta) in itertools.product(stages.items(), _reset_states(d, rng).items()):
+        ops = np.stack(stage.controller_ops(d))
+        calls = [taus] if d < 16 else [[(values[i], values[(i + 1) % 4])] for i in range(4)]
+        for points in calls:
+            args = ([t1 for t1, _ in points], [t2 for _, t2 in points], np.stack([eta] * len(points)),
+                    np.stack([ops] * len(points)), np.stack([noise] * len(points)))
+            got = branch_liouvillians(*args)
+            assert np.array_equal(_bits(got), _bits(reference.branch_liouvillians(*args))), f"{sn}/{en}/{points}"
+
+
+@pytest.mark.parametrize("pairs_per_block", [None, 1, 2, 7])
+def test_blocked_build_is_bitwise_the_reference_in_any_block(monkeypatch, pairs_per_block):
+    """One batch whose points interleave four η supports, built with blocks of one
+    pair, two pairs (an outcome of each d = 3 point left over) and seven pairs (two
+    whole points; the five full-support points leave one over) as well as the
+    shipped budget, is bit for bit the reference."""
+    d, rng = 3, np.random.default_rng(2208)
+    if pairs_per_block is not None:  # the temporaries of one pair at full support, as the kernel counts them
+        monkeypatch.setattr(loop, "BUILD_BLOCK_BYTES", pairs_per_block * 16 * (4 * d ** 3 * d + 3 * d ** 4))
+    etas = _reset_states(d, rng)
+    kinds = ["maximally-mixed", "pure", "mixed", "rank-deficient", "maximally-mixed", "pure", "mixed", "mixed"]
+    eta = np.stack([etas[k] for k in kinds])
+    ops = np.stack([np.stack(random_kraus_channel(d, d, rng).kraus) for _ in kinds])
+    noise = np.stack([noise_liouville(depolarizing_channel(d, lam)) for lam in rng.uniform(0.1, 1.0, len(kinds))])
+    args = (rng.uniform(0, 1, len(kinds)), rng.uniform(0, 1, len(kinds)), eta, ops, noise)
+    assert np.array_equal(_bits(branch_liouvillians(*args)), _bits(reference.branch_liouvillians(*args)))
+
+
+def _traced_peak(build):
+    """What `build()` returns and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_stays_near_the_stack():
+    """The blocked build holds its temporaries to one block: a d = 16
+    `mf-noisy-cooling` protocol peaks below twice its L (16.8 MB), and a 21-point
+    d = 8 sweep block below 1.5 times its stacks (11.0 MB). The whole-stack
+    build peaked at 71.7 and 47.6 MB."""
+    cfg = resolve_config({"scenario": "mf-noisy-cooling", "d": 16, "tau": 0.3, "lambda": 0.5})
+    p, peak = _traced_peak(lambda: build_protocols(cfg)["mf"])
+    assert peak < 2 * p.L.nbytes
+    cfgs = [resolve_config({"scenario": "mf-noisy-cooling", "d": 8, "tau": t, "lambda": 0.5})
+            for t in np.linspace(0.1, 0.9, 21).tolist()]
+    rows, peak = _traced_peak(lambda: metric_rows(cfgs))
+    assert len(rows) == 21 and peak < 1.5 * 21 * 8 * 16 * 8 ** 4  # 21 stacks of eight 64 x 64 complex matrices
+
+
+def test_projective_stage_names_the_first_failing_feedback_unitary():
+    """The feedback unitaries are checked as one stack; a refusal names the first that fails."""
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match=re.escape("feedback unitary 1 is not unitary: max|U†U - 1| = 2.100e-01")):
+        ProjectiveStage((eye, 1.1 * eye, np.full((3, 3), np.nan))).controller_ops(3)
+    with pytest.raises(ValueError, match=re.escape("feedback unitary 2 is not unitary: max|U†U - 1| = nan")):
+        ProjectiveStage((eye, eye, np.diag([np.nan, 1.0, 1.0]))).controller_ops(3)
+    with pytest.raises(ValueError, match=re.escape("feedback unitary 1 must be 3x3, got (2, 2)")):
+        ProjectiveStage((eye, np.eye(2), 1.1 * eye)).controller_ops(3)
+    with pytest.raises(ValueError, match=re.escape("feedback unitary 1 is not unitary: max|U†U - 1| = 2.100e-01")):
+        ProjectiveStage((eye, 1.1 * eye, np.eye(2))).controller_ops(3)
+    with pytest.raises(ValueError, match=re.escape("feedback unitary 0 must be 3x3, got (3,)")):
+        ProjectiveStage((np.ones(3), 1.1 * eye, eye)).controller_ops(3)
 
 
 def test_protocol_refuses_a_nan_unitary_and_a_reset_state_of_another_size():
