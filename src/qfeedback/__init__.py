@@ -4,17 +4,16 @@ __version__ = "0.1.0"
 
 from . import metrics, oracles, quantum, weaklimit
 from .loop import (
-    CoherentStage,
     DegenerateSteadyStateError,
     FeedbackProtocol,
-    PovmStage,
-    ProjectiveStage,
-    Superoperator,
     all_to_target_stage,
     build_superoperator,
+    coherent_stage,
     conditional_branches,
     cycle_unconditional,
     iterate_to_fixed_point,
+    povm_stage,
+    projective_stage,
     sample_ensemble,
     steady_state,
 )
@@ -25,11 +24,10 @@ __all__ = [
     "metrics",
     "oracles",
     "weaklimit",
-    "CoherentStage",
-    "ProjectiveStage",
-    "PovmStage",
+    "coherent_stage",
+    "projective_stage",
+    "povm_stage",
     "FeedbackProtocol",
-    "Superoperator",
     "DegenerateSteadyStateError",
     "all_to_target_stage",
     "build_superoperator",

@@ -2,7 +2,9 @@
 partial-swap collision with the controller, an in-loop stage acting on the
 controller alone (a unitary for coherent feedback, a measurement plus
 outcome-conditioned unitary for measurement-based feedback, or a general
-POVM), a second partial swap, and a reset of the controller.
+POVM), a second partial swap, and a reset of the controller. A stage is its
+controller Kraus operators M_j stacked (J, d, d), as `coherent_stage`,
+`projective_stage` and `povm_stage` check and return them.
 
 One cycle splits into one branch per controller outcome j, each a d²xd²
 Liouville matrix L_j on column-stacked density matrices, vec(AρB) =
@@ -34,7 +36,7 @@ of the four Kraus outer products written out over the whole stack, the oracle
 in tests/reference.py.
 
 The controller is a single qudit; protocols with composite controllers are
-out of scope (the stage types are the extension point).
+out of scope (any other stage is a complete stack of controller operators).
 """
 
 from __future__ import annotations
@@ -89,60 +91,38 @@ def _check_unitaries(us, d: int, what: str) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True, eq=False)
-class CoherentStage:
-    """Coherent feedback: a single unitary applied to the controller in-loop."""
-
-    unitary: np.ndarray
-
-    def controller_ops(self, d: int) -> list[np.ndarray]:
-        return list(_check_unitaries([self.unitary], d, "in-loop unitary"))
+def coherent_stage(d: int, unitary: np.ndarray) -> np.ndarray:
+    """Coherent feedback: the single unitary applied to the controller in-loop, stacked (1, d, d)."""
+    return _check_unitaries([unitary], d, "in-loop unitary")
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveStage:
-    """Projective measurement of the controller followed by per-outcome unitaries.
+def projective_stage(d: int, feedback, basis: np.ndarray | None = None) -> np.ndarray:
+    """Projective measurement of the controller followed by per-outcome unitaries:
+    the operators V_j·|b_j><b_j|, stacked (d, d, d).
 
-    `basis` holds the measurement basis as columns (identity = computational
-    basis); `feedback[j]` is the unitary applied after outcome j.
+    `basis` holds the measurement basis as columns (None = computational
+    basis); `feedback[j]` is the unitary V_j applied after outcome j.
     """
-
-    feedback: tuple[np.ndarray, ...]
-    basis: np.ndarray | None = None
-
-    def controller_ops(self, d: int) -> list[np.ndarray]:
-        if len(self.feedback) != d:
-            raise ValueError(f"need {d} feedback unitaries, got {len(self.feedback)}")
-        b = (np.eye(d, dtype=complex) if self.basis is None
-             else _check_unitaries([self.basis], d, "measurement basis")[0])
-        v = _check_unitaries(self.feedback, d, "feedback unitary {j}")
-        proj = b.T[:, :, None] * b.T.conj()[:, None, :]  # P_j = |b_j><b_j|, as np.outer makes it
-        return list(v @ proj)
+    if len(feedback) != d:
+        raise ValueError(f"need {d} feedback unitaries, got {len(feedback)}")
+    b = np.eye(d, dtype=complex) if basis is None else _check_unitaries([basis], d, "measurement basis")[0]
+    v = _check_unitaries(feedback, d, "feedback unitary {j}")
+    return v @ (b.T[:, :, None] * b.T.conj()[:, None, :])  # P_j = |b_j><b_j|, as np.outer makes it
 
 
-@dataclass(frozen=True, eq=False)
-class PovmStage:
-    """General in-loop POVM with Kraus operators K_j (feedback unitaries absorbed)."""
-
-    kraus: tuple[np.ndarray, ...]
-
-    def controller_ops(self, d: int) -> list[np.ndarray]:
-        ch = KrausChannel(d, tuple(self.kraus))  # re-validates completeness
-        return list(ch.kraus)
+def povm_stage(d: int, kraus) -> np.ndarray:
+    """General in-loop POVM: its Kraus operators K_j (feedback absorbed), checked complete, stacked (J, d, d)."""
+    return np.stack(KrausChannel(d, tuple(kraus)).kraus)
 
 
-InLoopStage = CoherentStage | ProjectiveStage | PovmStage
-
-
-def all_to_target_stage(d: int, target: np.ndarray | int = 0) -> ProjectiveStage:
+def all_to_target_stage(d: int, target: np.ndarray | int = 0) -> np.ndarray:
     """Projective stage that maps every measurement outcome to the same state.
 
     This is the optimal cooling feedback: measure in the computational basis
     and re-prepare the controller in `target` regardless of the outcome.
     """
     tgt = ket(d, target) if isinstance(target, int) else np.asarray(target, dtype=complex)
-    vs = tuple(unitary_mapping(ket(d, j), tgt) for j in range(d))
-    return ProjectiveStage(feedback=vs)
+    return projective_stage(d, [unitary_mapping(ket(d, j), tgt) for j in range(d)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +131,9 @@ class FeedbackProtocol:
 
     d: system (= controller) dimension, at most MAX_DIM; noise: the CP map
     hitting the system at the start of each cycle; tau1/tau2: transmissivities
-    of the two partial swaps; eta: controller reset state; stage: the in-loop
-    operation. L, built on construction, is the stack of per-outcome Liouville
-    matrices (J x d² x d², column-stacking convention).
+    of the two partial swaps; eta: controller reset state; ops: the in-loop
+    stage's controller Kraus operators (J x d x d). L, built on construction, is
+    the stack of per-outcome Liouville matrices (J x d² x d², column-stacking).
     """
 
     d: int
@@ -161,7 +141,7 @@ class FeedbackProtocol:
     tau1: float
     tau2: float
     eta: np.ndarray
-    stage: InLoopStage
+    ops: np.ndarray
     L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,6 +153,11 @@ class FeedbackProtocol:
         object.__setattr__(self, "eta", check_density_matrix(self.eta, what="controller reset state"))
         if self.eta.shape != (d, d):
             raise ValueError(f"controller reset state shape {self.eta.shape} != ({d},{d})")
+        ops = np.asarray(self.ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1:] != (d, d):
+            raise ValueError(f"controller operators must be stacked (J, {d}, {d}), got shape {ops.shape}")
+        KrausChannel(d, tuple(ops))  # complete operators make the cycle trace preserving
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "L", _branch_liouvillians(self, self.tau2))  # checks tau1 and tau2
 
     @property
@@ -211,12 +196,16 @@ def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.
     Each c is one square root, e.g. c₁₂ = √(τ₂(1-τ₁)), not a product of two,
     which keeps dyadic entries (τ = 1/2) exact.
     """
+    return _branches(tau1, tau2, check_density_matrix(eta, what="controller reset state"), ops, noise)
+
+
+def _branches(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """`branch_liouvillians` of reset states already checked."""
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
     for name, t in (("tau1", tau1), ("tau2", tau2)):
         outside = ~((0.0 <= t) & (t <= 1.0))
         if outside.any():
             raise ValueError(f"{name} must be in [0,1], got {t[outside][0]}")
-    eta = check_density_matrix(eta, what="controller reset state")
     n_pts, n_j, d, _ = ops.shape
     e, f = np.linalg.eigh(eta)
     # c₁₁, ic₁₂, ic₂₁ and c₂₂ of each point, all complex: a real c as c + 0j, as numpy promotes it
@@ -276,9 +265,9 @@ def _kraus_block(coef, fp, m, mf) -> np.ndarray:
 
 def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:
     """Per-outcome Liouville matrices of the cycle of p with its second coupling
-    at transmissivity `tau2` (p.tau2; 1 stops before the second coupling)."""
-    ops = np.stack(p.stage.controller_ops(p.d))
-    return branch_liouvillians([p.tau1], [tau2], p.eta[None], ops[None], noise_liouville(p.noise)[None])[0]
+    at transmissivity `tau2` (p.tau2; 1 stops before the second coupling). The
+    protocol checked its reset state, so it is not checked again."""
+    return _branches([p.tau1], [tau2], p.eta[None], p.ops[None], noise_liouville(p.noise)[None])[0]
 
 
 def _check_state(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:
@@ -324,42 +313,23 @@ def _traces(vecs: np.ndarray, d: int) -> np.ndarray:
     return vecs[..., :: d + 1].sum(axis=-1).real
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """d²xd² matrix of one unconditional cycle, acting on column-stacked states."""
-
-    d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = self.d * self.d
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (n, n):
-            raise ValueError(f"superoperator must be {n}x{n}, got {m.shape}")
-        _check_trace_preserving(m, self.d)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """The map applied to a matrix or a batch of matrices (no validation or hygiene)."""
-        return unstack(stack(rho) @ self.matrix.T, self.d)
+def apply(sop: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """A d²xd² cycle superoperator applied to a matrix or a batch of matrices (no validation or hygiene)."""
+    return unstack(stack(rho) @ sop.T, np.shape(rho)[-1])
 
 
-def _check_trace_preserving(m: np.ndarray, d: int) -> None:
-    """Every superoperator of the stack (..., d², d²) has the stacked identity as a left fixed vector."""
-    dev = max_abs(stack(np.eye(d)) @ m - stack(np.eye(d)))
-    if dev > 1e-10:
-        raise ValueError(f"superoperator does not preserve trace: deviation {dev:.3e}")
-
-
-def build_superoperator(p: FeedbackProtocol) -> Superoperator:
-    """The cycle superoperator Σ_j L_j."""
-    return Superoperator(p.d, p.L.sum(axis=0))
+def build_superoperator(p: FeedbackProtocol) -> np.ndarray:
+    """The d²xd² cycle superoperator Σ_j L_j, acting on column-stacked states."""
+    return superoperators(p.L[None], p.d)[0]
 
 
 def superoperators(L: np.ndarray, d: int) -> np.ndarray:
-    """The cycle superoperators Σ_j L_j of a batch of branch stacks (P, J, d², d²), checked."""
+    """The cycle superoperators Σ_j L_j of a batch of branch stacks (P, J, d², d²), each
+    checked to preserve trace: to have the stacked identity as a left fixed vector."""
     m = L.sum(axis=1)
-    _check_trace_preserving(m, d)
+    dev = max_abs(stack(np.eye(d)) @ m - stack(np.eye(d)))
+    if dev > 1e-10:
+        raise ValueError(f"superoperator does not preserve trace: deviation {dev:.3e}")
     return m
 
 
@@ -394,7 +364,7 @@ def steady_state(p: FeedbackProtocol) -> tuple[np.ndarray, float]:
     the one-protocol case of `steady_states`. Raises DegenerateSteadyStateError
     when a second eigenvalue sits within 1e-8 of unit magnitude.
     """
-    (rho,), (second,), (degenerate,) = steady_states(build_superoperator(p).matrix[None], p.d)
+    (rho,), (second,), (degenerate,) = steady_states(build_superoperator(p)[None], p.d)
     if degenerate:
         raise degenerate_error(second)
     return rho, float(1.0 - second)

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .loop import Superoperator, build_superoperator
+from .loop import apply, build_superoperator
 from .quantum import check_density_matrix, pauli_x
 
 
@@ -57,10 +57,10 @@ def _bloch_states(nodes: int) -> tuple[np.ndarray, np.ndarray, int]:
     return psi, w, nodes
 
 
-def _bitflip_fidelities(sop: Superoperator, psi: np.ndarray) -> np.ndarray:
+def _bitflip_fidelities(sop: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi, with ψ_X = σ_x ψ and Φ the
-    qubit cycle superoperator sop."""
-    outs = sop.apply(np.einsum("na,nb->nab", psi, psi.conj()))
+    qubit cycle superoperator sop (4 x 4)."""
+    outs = apply(sop, np.einsum("na,nb->nab", psi, psi.conj()))
     targets = psi @ pauli_x.T  # σ_x ψ, row-wise
     return np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
 
@@ -77,13 +77,14 @@ def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
 
     (4π)^-1 ∬ <ψ_X|ρ_out(χ,φ)|ψ_X> sinχ dχ dφ over the pure-state sphere,
     with ψ_X = σ_x ψ. p is a qubit protocol with identity noise (the bit-flip
-    benchmark is defined without system noise), or the Superoperator of the
-    cycle of one such protocol (a sweep point, whose noise the sweep checks).
+    benchmark is defined without system noise), or the 4x4 superoperator of
+    the cycle of one such protocol (a sweep point, whose noise and trace the
+    sweep checks). `nodes` is an integer, at least 4.
     """
-    if nodes < 4:
-        raise ValueError(f"need at least 4 quadrature nodes per axis, got {nodes}")
-    if isinstance(p, Superoperator):
-        if p.d != 2:
+    if not isinstance(nodes, (int, np.integer)) or nodes < 4:
+        raise ValueError(f"nodes must be an integer of at least 4 (quadrature nodes per axis), got {nodes!r}")
+    if isinstance(p, np.ndarray):
+        if p.shape != (4, 4):
             raise ValueError("the bit-flip benchmark is qubit-only")
         sop = p
     else:

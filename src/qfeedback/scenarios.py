@@ -1,9 +1,10 @@
 """Named protocol presets covering every closed-form case in the package,
 plus the config resolution used by the command-line front end.
 
-Each preset is one `Scenario` record in `SCENARIOS`: per protocol label, one
-(noise, controller reset state η, in-loop stage) triple, together with its
-defaults and its closed-form oracle columns. The CLI and `validate` build
+Each preset is one `Scenario` record in `SCENARIOS`: a noise channel and a
+controller reset state η shared by its protocols, per protocol label the
+in-loop stage as its stacked controller operators (J, d, d), its defaults and
+its closed-form oracle columns. The CLI and `validate` build
 every preset protocol from this table. `PARAMETERS` declares each config
 parameter once: its type, default, range and flag help, from which the
 defaults, the config check, the CLI flags and the sweep axes are read. A
@@ -29,16 +30,15 @@ from .loop import (
     MAX_BLOCK_BYTES,
     MAX_DIM,
     MAX_THREADS,
-    CoherentStage,
     DegenerateSteadyStateError,
     FeedbackProtocol,
-    PovmStage,
-    ProjectiveStage,
-    Superoperator,
     all_to_target_stage,
     branch_liouvillians,
+    coherent_stage,
     degenerate_error,
     noise_liouville,
+    povm_stage,
+    projective_stage,
     steady_states,
     superoperators,
 )
@@ -209,29 +209,26 @@ def parse_matrix(rows) -> np.ndarray:
         raise ConfigError(f"could not parse matrix: {exc}") from exc
 
 
-# each type of config `stage`: the keys it reads besides `type`, and its stage built from them
+# each type of config `stage`: the keys it reads besides `type`, and its controller operators built from them at d
 _STAGE_TYPES = {
-    "cf": (("unitary",), lambda spec: CoherentStage(parse_matrix(spec["unitary"]))),
-    "mf-projective": (("feedback", "basis"), lambda spec: ProjectiveStage(
-        feedback=tuple(map(parse_matrix, spec["feedback"])),
-        basis=parse_matrix(spec["basis"]) if "basis" in spec else None)),
-    "mf-povm": (("kraus",), lambda spec: PovmStage(kraus=tuple(map(parse_matrix, spec["kraus"])))),
+    "cf": (("unitary",), lambda spec, d: coherent_stage(d, parse_matrix(spec["unitary"]))),
+    "mf-projective": (("feedback", "basis"), lambda spec, d: projective_stage(
+        d, tuple(map(parse_matrix, spec["feedback"])), parse_matrix(spec["basis"]) if "basis" in spec else None)),
+    "mf-povm": (("kraus",), lambda spec, d: povm_stage(d, tuple(map(parse_matrix, spec["kraus"])))),
 }
 
 
-def _stage_from_config(spec: dict, d: int):
-    """The in-loop stage of a config `stage` object whose type resolve_config checked, checked against d."""
+def _stage_from_config(spec: dict, d: int) -> np.ndarray:
+    """The controller operators of a config `stage` object whose type resolve_config checked, checked against d."""
     kind = spec["type"]
     try:
-        stage = _STAGE_TYPES[kind][1](spec)
-        stage.controller_ops(d)
+        return _STAGE_TYPES[kind][1](spec, d)
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"stage {kind!r} needs the key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad stage {kind!r} at d={d}: {exc}") from exc
-    return stage
 
 
 def _eta(cfg: dict) -> np.ndarray:
@@ -257,7 +254,7 @@ def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --- the scenario table ----------------------------------------------------
-# Noise, stage and oracle entries take the resolved config.
+# Noise, stage and oracle entries take the resolved config; a stage entry returns its controller operators.
 
 def _depolarizing(cfg: dict):
     return depolarizing_channel(cfg["d"], cfg["lambda"])
@@ -283,7 +280,7 @@ def _cool_to_dominant(cfg: dict):
 
 
 def _do_nothing(cfg: dict):
-    return CoherentStage(np.eye(cfg["d"], dtype=complex))
+    return coherent_stage(cfg["d"], np.eye(cfg["d"], dtype=complex))
 
 
 def _unrotated(cfg: dict) -> bool:
@@ -293,13 +290,13 @@ def _unrotated(cfg: dict) -> bool:
 def _coherent_loop(cfg: dict):
     """The qubit unitary of (chi, phi1) when either is set at d=2; the identity otherwise."""
     if cfg["d"] == 2 and not _unrotated(cfg):
-        return CoherentStage(qubit_unitary(cfg["chi"], cfg["phi1"]))
+        return coherent_stage(2, qubit_unitary(cfg["chi"], cfg["phi1"]))
     return _do_nothing(cfg)
 
 
 def _repump(cfg: dict):
     """Measure, then repump to |1>: rotate by pi/2 on outcome 0, do nothing on outcome 1."""
-    return ProjectiveStage(feedback=(rotation(np.pi / 2), np.eye(2, dtype=complex)))
+    return projective_stage(2, (rotation(np.pi / 2), np.eye(2, dtype=complex)))
 
 
 def _mf_noisy_oracle(cfg: dict) -> dict[str, float]:
@@ -327,7 +324,7 @@ class Scenario(NamedTuple):
     kind: str                     # "steady" (one protocol), "compare" (several) or "bitflip" (Haar fidelity)
     defaults: dict                # always holds the scenario's own η spec
     noise: Callable
-    stages: dict[str, Callable]   # protocol label -> in-loop stage
+    stages: dict[str, Callable]   # protocol label -> its in-loop stage's controller operators
     qubit_only: bool
     oracle: Callable              # the oracle columns, valid at tau1 == tau2
     derived: Callable | None      # comparison columns read off the simulated row
@@ -356,7 +353,7 @@ SCENARIOS: dict[str, Scenario] = {
         lambda c: ({"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"])[1]}
                    if _unrotated(c) else {}),
         None),
-    "ad-cf": Scenario("steady", _NOISY, _damping, {"cf": lambda c: CoherentStage(rotation(c["chi"]))}, True,
+    "ad-cf": Scenario("steady", _NOISY, _damping, {"cf": lambda c: coherent_stage(2, rotation(c["chi"]))}, True,
                       _ad_cf_oracle, None),
     "ad-mf": Scenario("steady", _NOISY, _damping, {"mf": _repump}, True,
                       lambda c: {"oracle_rho11": oracles.ad_occupations(c["tau1"], c["gamma"])[2]}, None),
@@ -370,40 +367,40 @@ SCENARIOS: dict[str, Scenario] = {
         _entropy_difference),
     "ad-compare": Scenario(
         "compare", _NOISY, _damping,
-        {"cf_chi0": lambda c: CoherentStage(rotation(0.0)), "cf_chipi2": lambda c: CoherentStage(rotation(np.pi / 2)),
-         "mf": _repump},
+        {"cf_chi0": lambda c: coherent_stage(2, rotation(0.0)),
+         "cf_chipi2": lambda c: coherent_stage(2, rotation(np.pi / 2)), "mf": _repump},
         True,
         # zip drops the fifth value of ad_occupations, its CF-beats-MF verdict: cf_beats_mf is read off the row
         lambda c: dict(zip(("oracle_rho11_chi0", "oracle_rho11_chipi2", "oracle_rho11_mf", "oracle_cf_crossover_tau"),
                            oracles.ad_occupations(c["tau1"], c["gamma"]))),
         _cf_verdict),
-    "bitflip-cf": Scenario("bitflip", _NOISY, _noiseless, {"cf": lambda c: CoherentStage(pauli_x)}, True,
+    "bitflip-cf": Scenario("bitflip", _NOISY, _noiseless, {"cf": lambda c: coherent_stage(2, pauli_x)}, True,
                            lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[0]}, None),
-    "bitflip-mf": Scenario("bitflip", _NOISY, _noiseless, {"mf": lambda c: ProjectiveStage(feedback=(pauli_x, pauli_x))},
+    "bitflip-mf": Scenario("bitflip", _NOISY, _noiseless, {"mf": lambda c: projective_stage(2, (pauli_x, pauli_x))},
                            True, lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[1]}, None),
     "bitflip-povm": Scenario(
-        "bitflip", _NOISY, _noiseless, {"mf": lambda c: PovmStage(kraus=bitflip_povm_kraus(c["a"], c["b"]))}, True,
+        "bitflip", _NOISY, _noiseless, {"mf": lambda c: povm_stage(2, bitflip_povm_kraus(c["a"], c["b"]))}, True,
         lambda c: {"oracle_fidelity": oracles.bitflip_fidelity(c["tau1"], c["a"], c["b"])}, None),
 }
 
 
-def _stages(cfg: dict) -> dict:
-    """The in-loop stage of each protocol label of a resolved config. A config
-    `stage` (resolve_config admits one only for a single-protocol scenario)
-    replaces the scenario's own."""
+def _stages(cfg: dict) -> dict[str, np.ndarray]:
+    """The in-loop stage of each protocol label of a resolved config, as its
+    stacked controller operators. A config `stage` (resolve_config admits one
+    only for a single-protocol scenario) replaces the scenario's own."""
     scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
     override = _stage_from_config(cfg["stage"], d) if "stage" in cfg else None
     if scenario.qubit_only and d != 2:
         raise ConfigError(f"scenario {cfg['scenario']!r} is qubit-only (d=2)")
-    return {label: override or stage(cfg) for label, stage in scenario.stages.items()}
+    return {label: stage(cfg) if override is None else override for label, stage in scenario.stages.items()}
 
 
 def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
     """Instantiate the protocol(s) for a resolved config, keyed by label."""
     stages = _stages(cfg)
     noise, eta = SCENARIOS[cfg["scenario"]].noise(cfg), _eta(cfg)
-    return {label: FeedbackProtocol(d=cfg["d"], noise=noise, tau1=cfg["tau1"], tau2=cfg["tau2"], eta=eta, stage=stage)
-            for label, stage in stages.items()}
+    return {label: FeedbackProtocol(d=cfg["d"], noise=noise, tau1=cfg["tau1"], tau2=cfg["tau2"], eta=eta, ops=ops)
+            for label, ops in stages.items()}
 
 
 def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
@@ -419,11 +416,6 @@ def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[
     }
 
 
-def _stage_ops(cfg: dict) -> dict[str, np.ndarray]:
-    """Each protocol label's stacked controller operators."""
-    return {label: np.stack(stage.controller_ops(cfg["d"])) for label, stage in _stages(cfg).items()}
-
-
 def _noise_matrix(cfg: dict) -> np.ndarray:
     """The Liouville matrix of the scenario's noise channel."""
     scenario = SCENARIOS[cfg["scenario"]]
@@ -436,7 +428,7 @@ def _noise_matrix(cfg: dict) -> np.ndarray:
 # The parts of a sweep point: the config keys each reads, and its builder. They are built in this
 # order, so a stage's refusals (a qubit-only scenario at d > 2) come before the bit-flip noise check.
 _PARTS = {
-    "ops": (tuple(sorted(_CONFIG_KEYS - {"sweep", "tau", "tau1", "tau2", "lambda", "gamma"})), _stage_ops),
+    "ops": (tuple(sorted(_CONFIG_KEYS - {"sweep", "tau", "tau1", "tau2", "lambda", "gamma"})), _stages),
     "noise": (("scenario", "d", "lambda", "gamma"), _noise_matrix),
     "eta": (("d", "eta", "eta0"), _eta),
 }
@@ -472,7 +464,7 @@ def _block_columns(cfgs: list[dict], built: dict) -> tuple[dict[str, np.ndarray]
         ops = np.stack([part["ops"][label] for part in parts])
         sops = superoperators(branch_liouvillians(tau1, tau2, eta, ops, noise), d)
         if scenario.kind == "bitflip":  # the figure of merit is the Haar-averaged fidelity, not a steady state
-            columns["haar_fidelity"] = np.array([haar_avg_bitflip_fidelity(Superoperator(d, m)) for m in sops])
+            columns["haar_fidelity"] = np.array([haar_avg_bitflip_fidelity(m) for m in sops])
             continue
         states, second, degenerate = steady_states(sops, d)
         unique = np.flatnonzero(~degenerate)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .loop import (CoherentStage, DegenerateSteadyStateError, FeedbackProtocol, PovmStage,
-                   all_to_target_stage, conditional_branches, cycle_unconditional, iterate_to_fixed_point,
-                   sample_ensemble, steady_state)
+from .loop import (DegenerateSteadyStateError, FeedbackProtocol, all_to_target_stage, coherent_stage,
+                   conditional_branches, cycle_unconditional, iterate_to_fixed_point, povm_stage, sample_ensemble,
+                   steady_state)
 from .metrics import von_neumann_entropy
 from .quantum import (depolarizing_channel, dm, identity_channel, ket, maximally_mixed, random_density_matrix,
                       random_kraus_channel, random_unitary, unitary_mapping)
@@ -245,7 +245,7 @@ def check_cf_no_cooling(protocols: int = 500, seed: int = 300) -> CheckResult:
         tau1, tau2 = rng.uniform(0.0, 1.0, 2)
         lam = rng.uniform(0.0, 0.98)
         p = FeedbackProtocol(d=d, noise=depolarizing_channel(d, lam), tau1=tau1, tau2=tau2,
-                             eta=maximally_mixed(d), stage=CoherentStage(random_unitary(d, rng)))
+                             eta=maximally_mixed(d), ops=coherent_stage(d, random_unitary(d, rng)))
         rho = random_density_matrix(d, rng)
         drop = von_neumann_entropy(rho) - von_neumann_entropy(cycle_unconditional(rho, p))
         worst_drop = max(worst_drop, drop)
@@ -397,11 +397,11 @@ def check_weak_limit(seed: int = 900) -> CheckResult:
 
     dims_ok = True
     for d in (2, 3):
-        g_cf = [effective_hamiltonian(maximally_mixed(d), CoherentStage(random_unitary(d, rng)))
+        g_cf = [effective_hamiltonian(maximally_mixed(d), coherent_stage(d, random_unitary(d, rng)))
                 for _ in range(3)]
         dims_ok &= lie_closure_dim(g_cf) == 1
         eta = dm(ket(d, 0))
-        g_mf = [effective_hamiltonian(eta, PovmStage(kraus=random_kraus_channel(d, 2, rng).kraus)) for _ in range(2)]
+        g_mf = [effective_hamiltonian(eta, povm_stage(d, random_kraus_channel(d, 2, rng).kraus)) for _ in range(2)]
         dims_ok &= lie_closure_dim(g_mf) == d * d
     ok = quad_ok and dims_ok
     return _result("weak-limit", ok,

@@ -12,22 +12,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loop import FeedbackProtocol, InLoopStage, build_superoperator
+from .loop import FeedbackProtocol, apply, build_superoperator
 from .quantum import check_density_matrix, hermitize, identity_channel, ket
 
 
-def in_loop_map(eta: np.ndarray, stage: InLoopStage, d: int) -> np.ndarray:
-    """Apply the stage's controller CP map to eta: V eta V† for coherent
-    stages, the Kraus sum over measurement branches otherwise."""
-    ops = stage.controller_ops(d)
+def in_loop_map(eta: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Apply the stage's controller CP map to eta: Σ_j M_j eta M_j† over its
+    controller operators ops (J x d x d); V eta V† for a coherent stage."""
     return sum(m @ eta @ m.conj().T for m in ops)
 
 
-def effective_hamiltonian(eta: np.ndarray, stage: InLoopStage) -> np.ndarray:
-    """Generator h = Λ(η) + η of the weak-interaction limit (Hermitian)."""
+def effective_hamiltonian(eta: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Generator h = Λ(η) + η of the weak-interaction limit (Hermitian), for the
+    stage with controller operators ops."""
     eta = check_density_matrix(eta, what="controller state")
-    d = eta.shape[0]
-    return hermitize(in_loop_map(eta, stage, d) + eta, tol=1e-9)
+    return hermitize(in_loop_map(eta, ops) + eta, tol=1e-9)
 
 
 def _hermitian_basis_states(d: int) -> np.ndarray:
@@ -50,15 +49,13 @@ def first_order_defect(p: FeedbackProtocol, dtheta: float) -> float:
     |cycle(rho) - (rho - i[h, rho] dθ)| over a spanning set of pure inputs.
     Scales quadratically in dθ.
     """
-    if dtheta <= 0.0:
-        raise ValueError(f"dtheta must be positive, got {dtheta}")
+    if not (np.isfinite(dtheta) and dtheta > 0.0):
+        raise ValueError(f"dtheta must be positive and finite, got {dtheta}")
     tau = np.cos(dtheta) ** 2
-    weak = FeedbackProtocol(
-        d=p.d, noise=identity_channel(p.d), tau1=tau, tau2=tau, eta=p.eta, stage=p.stage
-    )
-    h = effective_hamiltonian(p.eta, p.stage)
+    weak = FeedbackProtocol(d=p.d, noise=identity_channel(p.d), tau1=tau, tau2=tau, eta=p.eta, ops=p.ops)
+    h = effective_hamiltonian(p.eta, p.ops)
     states = _hermitian_basis_states(p.d)
-    outs = build_superoperator(weak).apply(states)
+    outs = apply(build_superoperator(weak), states)
     comm = h[None] @ states - states @ h[None]
     defect = outs - (states - 1j * dtheta * comm)
     return float(np.max(np.abs(defect)))

@@ -5,7 +5,9 @@ functions here compute the same maps another way, so that tests can compare
 the two: Kronecker products and partial traces over the system-controller
 space, Kraus sums and direct closed-form channels, Hermitian spectra and the
 majorisation order, and a Monte-Carlo sampler over Haar-random qubit states.
-The partial-swap coupling itself is `qfeedback.quantum.partial_swap`.
+The partial-swap coupling itself is `qfeedback.quantum.partial_swap`;
+`joint_branch_maps` builds one cycle's per-outcome maps from it in the joint
+space.
 
 `branch_liouvillians` is the other kind of reference: it builds the branch
 stack L with each Kraus tensor written out whole, as four outer products, and
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from qfeedback.loop import _liouville, build_superoperator
+from qfeedback.loop import _liouville, build_superoperator, stack
 from qfeedback.metrics import _bitflip_fidelities
-from qfeedback.quantum import KrausChannel, check_density_matrix, hermitize, ket
+from qfeedback.quantum import KrausChannel, check_density_matrix, hermitize, ket, partial_swap
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,6 +45,27 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.
     if keep == "B":
         return np.einsum("abad->bd", m4)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+def joint_branch_maps(tau1: float, tau2: float, eta: np.ndarray, ops: np.ndarray, noise: KrausChannel) -> np.ndarray:
+    """The per-outcome Liouville matrices (J, d², d²) of one cycle, built in the
+    joint space: column a + d*b of map j is the image of |a><b| under the noise,
+    the product with η, U₁ (transmissivity tau1), 1⊗M_j for the controller
+    operator ops[j], U₂ (transmissivity tau2) and the controller trace."""
+    d = len(eta)
+    maps = []
+    for m in ops:
+        g = partial_swap(d, tau2) @ np.kron(np.eye(d), m) @ partial_swap(d, tau1)
+        cols = []
+        for b in range(d):
+            for a in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[a, b] = 1.0
+                noisy = sum(k @ unit @ k.conj().T for k in noise.kraus)
+                joint = g @ np.kron(noisy, eta) @ g.conj().T
+                cols.append(stack(partial_trace(joint, d, d, keep="A")))
+        maps.append(np.column_stack(cols))
+    return np.array(maps)
 
 
 def hermitian_eigs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

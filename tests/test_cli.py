@@ -14,8 +14,10 @@ import pytest
 from qfeedback import cli, oracles
 from qfeedback.loop import sample_ensemble, steady_state
 from qfeedback.metrics import von_neumann_entropy
-from qfeedback.quantum import maximally_mixed
+from qfeedback.quantum import depolarizing_channel, maximally_mixed, random_unitary
 from qfeedback.scenarios import PARAMETERS, SCENARIOS, build_protocols, metric_row, resolve_config
+
+import reference
 
 
 def run_cli(*args, cwd=None):
@@ -479,6 +481,16 @@ def test_readme_parameter_table_matches_the_parameters():
                        "`tau`" if p.default is None else f"{p.default:g}") for p in PARAMETERS]
 
 
+def test_readme_library_sketch_runs(capsys):
+    """The README's library sketch runs as printed, and its steady spectrum is the closed form it quotes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    spectrum, closed_form, entropy = capsys.readouterr().out.splitlines()
+    assert spectrum.startswith("[0.7857") and closed_form.startswith("[0.7857")
+    assert 0.0 <= float(entropy) <= 1.0
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--seed=-1"], "seed must be at least 0, got -1"),
     (["--threads", "65"], "threads must be in [0,64], got 65"),
@@ -715,6 +727,42 @@ def test_sidecar_config_reproduces_the_output(capsys, tmp_path, argv, config):
     assert capsys.readouterr().out == out.replace(str(first), str(again))
     assert again.read_bytes() == first.read_bytes()
     assert (tmp_path / "again.csv.meta.json").read_bytes() == (tmp_path / "first.csv.meta.json").read_bytes()
+
+
+def _json_matrix(m: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+
+def test_steady_with_a_measurement_basis_matches_the_joint_space_build(capsys, tmp_path):
+    """An mf-projective config stage with a basis: `steady --out` writes the
+    spectrum and rho11 of the steady state of the joint-space build in
+    tests/reference.py, whose controller operators V_j|b_j><b_j| are written out
+    here, within 1e-12. The computational basis gives another state."""
+    rng = np.random.default_rng(23)
+    basis, feedback = random_unitary(2, rng), [random_unitary(2, rng) for _ in range(2)]
+    eta = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+    config = {"scenario": "mf-noisy-cooling", "tau1": 0.3, "tau2": 0.6, "lambda": 0.8,
+              "eta": {"matrix": _json_matrix(eta)},
+              "stage": {"type": "mf-projective", "feedback": [_json_matrix(v) for v in feedback],
+                        "basis": _json_matrix(basis)}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
+    assert cli.main(["steady", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    cells = dict(zip(header, row))
+
+    def reference_steady(b):
+        ops = np.stack([v @ np.outer(b[:, j], b[:, j].conj()) for j, v in enumerate(feedback)])
+        w, vecs = np.linalg.eig(reference.joint_branch_maps(0.3, 0.6, eta, ops, depolarizing_channel(2, 0.8)).sum(0))
+        rho = vecs[:, np.argmin(np.abs(w - 1.0))].reshape(2, 2).T  # column-stacked
+        rho = rho / np.trace(rho)
+        return np.sort(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)))[::-1], rho[1, 1].real
+
+    spectrum, rho11 = reference_steady(basis)
+    assert abs(float(cells["alpha0"]) - spectrum[0]) <= 1e-12
+    assert abs(float(cells["alpha1"]) - spectrum[1]) <= 1e-12
+    assert abs(float(cells["rho11"]) - rho11) <= 1e-12
+    assert abs(reference_steady(np.eye(2))[1] - rho11) > 1e-6
 
 
 def test_trajectories_require_mf_scenario():
@@ -971,18 +1019,18 @@ def test_sweep_rows_equal_pointwise_metric_rows(monkeypatch, config, axes, block
 
 
 def test_sweep_parts_are_built_once_per_value_of_the_keys_they_read(monkeypatch):
-    from qfeedback import loop, scenarios
+    from qfeedback import scenarios
 
     ops_calls, noise_calls = [], []
-    for stage in (loop.CoherentStage, loop.ProjectiveStage):
-        monkeypatch.setattr(stage, "controller_ops", lambda self, d, build=stage.controller_ops:
-                            ops_calls.append(type(self).__name__) or build(self, d))
+    for stage in (scenarios.coherent_stage, scenarios.projective_stage):
+        monkeypatch.setattr(scenarios, stage.__name__, lambda d, *args, build=stage:
+                            ops_calls.append(build.__name__) or build(d, *args))
     depolarizing = scenarios.depolarizing_channel
     monkeypatch.setattr(scenarios, "depolarizing_channel", lambda d, lam: noise_calls.append(lam) or depolarizing(d, lam))
     # the stages do not read gamma: one build per label along a gamma axis
     cfg = resolve_config({"scenario": "ad-compare"})
     scenarios.metric_rows([resolve_config(cfg, {"gamma": x}) for x in np.linspace(0.1, 0.9, 5)])
-    assert sorted(ops_calls) == ["CoherentStage", "CoherentStage", "ProjectiveStage"]
+    assert sorted(ops_calls) == ["coherent_stage", "coherent_stage", "projective_stage"]
     # the noise does not read eta0: one build along an eta0 axis
     cfg = resolve_config({"scenario": "eta-cooling-compare"})
     scenarios.metric_rows([resolve_config(cfg, {"eta0": x}) for x in np.linspace(0.0, 1.0, 5)])
@@ -990,14 +1038,14 @@ def test_sweep_parts_are_built_once_per_value_of_the_keys_they_read(monkeypatch)
 
 
 def test_sweep_blocks_share_the_parts_built_so_far(monkeypatch):
-    from qfeedback import loop, scenarios
+    from qfeedback import scenarios
 
     cfg = resolve_config({"scenario": "cf-clean"})
     cfgs = [resolve_config(cfg, {"tau": x}) for x in np.linspace(0.0, 1.0, 6)]
     one_block = scenarios.metric_rows(cfgs)
     calls = []
-    monkeypatch.setattr(loop.CoherentStage, "controller_ops", lambda self, d, build=loop.CoherentStage.controller_ops:
-                        calls.append(d) or build(self, d))
+    monkeypatch.setattr(scenarios, "coherent_stage", lambda d, unitary, build=scenarios.coherent_stage:
+                        calls.append(d) or build(d, unitary))
     monkeypatch.setattr(scenarios, "MAX_BLOCK_BYTES", 2 * 16 * 2 ** 4)  # two d=2 points of one outcome per block
     assert scenarios.metric_rows(cfgs) == one_block  # exact, cell by cell
     assert calls == [2]  # one stage build for the three blocks

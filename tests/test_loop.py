@@ -11,23 +11,24 @@ from qfeedback import loop, oracles
 from qfeedback.loop import (
     MAX_DIM,
     MAX_THREADS,
-    CoherentStage,
     DegenerateSteadyStateError,
     EnsembleResult,
     FeedbackProtocol,
-    PovmStage,
-    ProjectiveStage,
     _branch_liouvillians,
     _entropy_batch,
     _hygiene_batch,
     _traces,
     all_to_target_stage,
+    apply,
     branch_liouvillians,
     build_superoperator,
+    coherent_stage,
     conditional_branches,
     cycle_unconditional,
     iterate_to_fixed_point,
     noise_liouville,
+    povm_stage,
+    projective_stage,
     sample_ensemble,
     stack,
     steady_state,
@@ -43,7 +44,6 @@ from qfeedback.quantum import (
     ket,
     max_abs,
     maximally_mixed,
-    partial_swap,
     random_density_matrix,
     random_kraus_channel,
     random_unitary,
@@ -51,33 +51,32 @@ from qfeedback.quantum import (
 from qfeedback.scenarios import build_protocols, metric_rows, resolve_config
 
 import reference
-from reference import partial_trace
 
 
 def mf_cooling(d, tau, lam, eta=None):
     return FeedbackProtocol(
         d=d, noise=depolarizing_channel(d, lam), tau1=tau, tau2=tau,
-        eta=maximally_mixed(d) if eta is None else eta, stage=all_to_target_stage(d, 0),
+        eta=maximally_mixed(d) if eta is None else eta, ops=all_to_target_stage(d, 0),
     )
 
 
 def cf(d, tau, lam, eta, v=None):
     return FeedbackProtocol(
         d=d, noise=depolarizing_channel(d, lam), tau1=tau, tau2=tau,
-        eta=eta, stage=CoherentStage(np.eye(d, dtype=complex) if v is None else v),
+        eta=eta, ops=coherent_stage(d, np.eye(d, dtype=complex) if v is None else v),
     )
 
 
 def random_protocol(d, rng):
     """Random MF protocol: projective or POVM stage, random couplings and noise."""
     if rng.random() < 0.5:
-        stage = ProjectiveStage(feedback=tuple(random_unitary(d, rng) for _ in range(d)))
+        ops = projective_stage(d, tuple(random_unitary(d, rng) for _ in range(d)))
     else:
-        stage = PovmStage(kraus=random_kraus_channel(d, 3, rng).kraus)
+        ops = povm_stage(d, random_kraus_channel(d, 3, rng).kraus)
     return FeedbackProtocol(
         d=d, noise=depolarizing_channel(d, rng.uniform(0.1, 1.0)),
         tau1=rng.uniform(0, 1), tau2=rng.uniform(0, 1),
-        eta=random_density_matrix(d, rng), stage=stage,
+        eta=random_density_matrix(d, rng), ops=ops,
     )
 
 
@@ -104,7 +103,7 @@ def test_cf_noisy_controller_never_lowers_entropy():
         p = FeedbackProtocol(
             d=d, noise=depolarizing_channel(d, rng.uniform(0, 0.98)),
             tau1=rng.uniform(0, 1), tau2=rng.uniform(0, 1),
-            eta=maximally_mixed(d), stage=CoherentStage(random_unitary(d, rng)),
+            eta=maximally_mixed(d), ops=coherent_stage(d, random_unitary(d, rng)),
         )
         rho = random_density_matrix(d, rng)
         assert von_neumann_entropy(cycle_unconditional(rho, p)) >= von_neumann_entropy(rho) - 1e-10
@@ -113,15 +112,15 @@ def test_cf_noisy_controller_never_lowers_entropy():
 def test_superoperator_identity_cycle():
     p = cf(2, 1.0, 1.0, maximally_mixed(2))
     s = build_superoperator(p)
-    assert max_abs(s.matrix - np.eye(4)) <= 1e-12
+    assert max_abs(s - np.eye(4)) <= 1e-12
 
 
 def test_superoperator_depolarize_only_spectrum():
     p = cf(2, 1.0, 1.0, maximally_mixed(2), v=None)
     p = FeedbackProtocol(d=2, noise=depolarizing_channel(2, 0.35), tau1=1.0, tau2=1.0,
-                         eta=maximally_mixed(2), stage=CoherentStage(np.eye(2)))
+                         eta=maximally_mixed(2), ops=coherent_stage(2, np.eye(2)))
     s = build_superoperator(p)
-    evals = np.sort(np.abs(np.linalg.eigvals(s.matrix)))[::-1]
+    evals = np.sort(np.abs(np.linalg.eigvals(s)))[::-1]
     assert np.allclose(evals, [1.0, 0.35, 0.35, 0.35], atol=1e-10)
 
 
@@ -132,7 +131,7 @@ def test_superoperator_matches_cycle_on_random_states():
         p = random_protocol(d, rng)
         s = build_superoperator(p)
         rho = random_density_matrix(d, rng)
-        assert max_abs(s.apply(rho) - cycle_unconditional(rho, p)) <= 1e-10
+        assert max_abs(apply(s, rho) - cycle_unconditional(rho, p)) <= 1e-10
 
 
 def test_superoperator_unit_spectral_radius():
@@ -140,7 +139,7 @@ def test_superoperator_unit_spectral_radius():
     for _ in range(10):
         p = random_protocol(2, rng)
         s = build_superoperator(p)
-        lead = np.max(np.abs(np.linalg.eigvals(s.matrix)))
+        lead = np.max(np.abs(np.linalg.eigvals(s)))
         assert abs(lead - 1.0) <= 1e-9
 
 
@@ -148,7 +147,7 @@ def test_superoperator_trace_preservation_vector():
     rng = np.random.default_rng(5)
     p = random_protocol(3, rng)
     s = build_superoperator(p)
-    left = stack(np.eye(3)) @ s.matrix
+    left = stack(np.eye(3)) @ s
     assert max_abs(left - stack(np.eye(3))) <= 1e-10
 
 
@@ -217,7 +216,7 @@ def test_measurement_basis_irrelevant_for_unconditional_cooling():
         b = random_unitary(2, rng)
         fb = tuple(unitary_mapping(b[:, j], ket(2, 0)) for j in range(2))
         rotated = FeedbackProtocol(2, depolarizing_channel(2, lam), tau, tau,
-                                   maximally_mixed(2), ProjectiveStage(feedback=fb, basis=b))
+                                   maximally_mixed(2), projective_stage(2, fb, b))
         reference = mf_cooling(2, tau, lam)
         rho = random_density_matrix(2, rng)
         assert max_abs(cycle_unconditional(rho, rotated) - cycle_unconditional(rho, reference)) <= 1e-12
@@ -229,9 +228,9 @@ def test_cf_equals_infinitely_weak_povm():
         v = random_unitary(2, rng)
         eta = random_density_matrix(2, rng)
         tau1, tau2 = rng.uniform(0, 1, 2)
-        p_cf = FeedbackProtocol(2, depolarizing_channel(2, 0.6), tau1, tau2, eta, CoherentStage(v))
+        p_cf = FeedbackProtocol(2, depolarizing_channel(2, 0.6), tau1, tau2, eta, coherent_stage(2, v))
         p_povm = FeedbackProtocol(2, depolarizing_channel(2, 0.6), tau1, tau2, eta,
-                                  PovmStage(kraus=(v / np.sqrt(2), v / np.sqrt(2))))
+                                  povm_stage(2, (v / np.sqrt(2), v / np.sqrt(2))))
         rho = random_density_matrix(2, rng)
         assert max_abs(cycle_unconditional(rho, p_cf) - cycle_unconditional(rho, p_povm)) <= 1e-12
 
@@ -485,11 +484,11 @@ def test_batched_build_matches_one_protocol_at_a_time():
     for d in (2, 3):
         protocols = [random_protocol(d, rng) for _ in range(4)]
         # a pure reset state needs fewer Kraus terms: the batch splits by the support of η
-        protocols += [FeedbackProtocol(d, depolarizing_channel(d, 0.4), 0.3, 0.8, dm(ket(d, 1)), protocols[0].stage)]
+        protocols += [FeedbackProtocol(d, depolarizing_channel(d, 0.4), 0.3, 0.8, dm(ket(d, 1)), protocols[0].ops)]
         protocols = [p for p in protocols if p.n_outcomes == protocols[0].n_outcomes]
         batch = branch_liouvillians([p.tau1 for p in protocols], [p.tau2 for p in protocols],
                                     np.stack([p.eta for p in protocols]),
-                                    np.stack([np.stack(p.stage.controller_ops(d)) for p in protocols]),
+                                    np.stack([p.ops for p in protocols]),
                                     np.stack([noise_liouville(p.noise) for p in protocols]))
         for p, L in zip(protocols, batch):
             assert np.array_equal(L, p.L)
@@ -497,7 +496,7 @@ def test_batched_build_matches_one_protocol_at_a_time():
 
 def test_batched_build_checks_every_point():
     p = mf_cooling(2, 0.5, 0.5)
-    ops, noise = np.stack(p.stage.controller_ops(2))[None], noise_liouville(p.noise)[None]
+    ops, noise = p.ops[None], noise_liouville(p.noise)[None]
     eta = np.stack([maximally_mixed(2)] * 2)
     with pytest.raises(ValueError, match=r"tau2 must be in \[0,1\], got 1.5"):
         branch_liouvillians([0.5, 0.5], [0.5, 1.5], eta, ops.repeat(2, 0), noise.repeat(2, 0))
@@ -529,14 +528,13 @@ def test_blocked_build_is_bitwise_the_four_outer_products(d):
     pairs are the points of one batch, or at d = 16 four single-point builds in
     which each value appears once as τ₁ and once as τ₂."""
     rng = np.random.default_rng(220 + d)
-    stages = {"coherent": CoherentStage(random_unitary(d, rng)), "projective": all_to_target_stage(d, 1)}
+    stages = {"coherent": coherent_stage(d, random_unitary(d, rng)), "projective": all_to_target_stage(d, 1)}
     if d < 16:
-        stages["povm"] = PovmStage(kraus=random_kraus_channel(d, d, rng).kraus)
+        stages["povm"] = povm_stage(d, random_kraus_channel(d, d, rng).kraus)
     noise = noise_liouville(depolarizing_channel(d, rng.uniform(0.1, 1.0)))
     values = [0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)]
     taus = list(itertools.product(values, values))
-    for (sn, stage), (en, eta) in itertools.product(stages.items(), _reset_states(d, rng).items()):
-        ops = np.stack(stage.controller_ops(d))
+    for (sn, ops), (en, eta) in itertools.product(stages.items(), _reset_states(d, rng).items()):
         calls = [taus] if d < 16 else [[(values[i], values[(i + 1) % 4])] for i in range(4)]
         for points in calls:
             args = ([t1 for t1, _ in points], [t2 for _, t2 in points], np.stack([eta] * len(points)),
@@ -590,15 +588,15 @@ def test_projective_stage_names_the_first_failing_feedback_unitary():
     """The feedback unitaries are checked as one stack; a refusal names the first that fails."""
     eye = np.eye(3)
     with pytest.raises(ValueError, match=re.escape("feedback unitary 1 is not unitary: max|U†U - 1| = 2.100e-01")):
-        ProjectiveStage((eye, 1.1 * eye, np.full((3, 3), np.nan))).controller_ops(3)
+        projective_stage(3, (eye, 1.1 * eye, np.full((3, 3), np.nan)))
     with pytest.raises(ValueError, match=re.escape("feedback unitary 2 is not unitary: max|U†U - 1| = nan")):
-        ProjectiveStage((eye, eye, np.diag([np.nan, 1.0, 1.0]))).controller_ops(3)
+        projective_stage(3, (eye, eye, np.diag([np.nan, 1.0, 1.0])))
     with pytest.raises(ValueError, match=re.escape("feedback unitary 1 must be 3x3, got (2, 2)")):
-        ProjectiveStage((eye, np.eye(2), 1.1 * eye)).controller_ops(3)
+        projective_stage(3, (eye, np.eye(2), 1.1 * eye))
     with pytest.raises(ValueError, match=re.escape("feedback unitary 1 is not unitary: max|U†U - 1| = 2.100e-01")):
-        ProjectiveStage((eye, 1.1 * eye, np.eye(2))).controller_ops(3)
+        projective_stage(3, (eye, 1.1 * eye, np.eye(2)))
     with pytest.raises(ValueError, match=re.escape("feedback unitary 0 must be 3x3, got (3,)")):
-        ProjectiveStage((np.ones(3), 1.1 * eye, eye)).controller_ops(3)
+        projective_stage(3, (np.ones(3), 1.1 * eye, eye))
 
 
 def test_protocol_refuses_a_nan_unitary_and_a_reset_state_of_another_size():
@@ -610,7 +608,7 @@ def test_protocol_refuses_a_nan_unitary_and_a_reset_state_of_another_size():
 
 def test_batched_steady_states_flag_each_degenerate_point():
     points = [cf(2, 1.0, 1.0, maximally_mixed(2)), mf_cooling(2, 0.5, 0.5), cf(2, 0.4, 0.7, dm(ket(2, 0)))]
-    states, second, degenerate = steady_states(np.stack([build_superoperator(p).matrix for p in points]), 2)
+    states, second, degenerate = steady_states(np.stack([build_superoperator(p) for p in points]), 2)
     assert degenerate.tolist() == [True, False, False]
     assert np.isnan(states[0]).all()
     for p, rho, lam2 in zip(points[1:], states[1:], second[1:]):
@@ -643,13 +641,13 @@ def test_ensemble_majorization_check_holds_for_cooling():
 def test_protocol_validation():
     with pytest.raises(ValueError):
         FeedbackProtocol(2, depolarizing_channel(2, 0.5), 1.2, 0.5,
-                         maximally_mixed(2), CoherentStage(np.eye(2)))
+                         maximally_mixed(2), coherent_stage(2, np.eye(2)))
     with pytest.raises(ValueError):
         FeedbackProtocol(2, depolarizing_channel(2, 0.5), 0.5, 0.5,
-                         maximally_mixed(2), CoherentStage(np.diag([1.0, 2.0])))
+                         maximally_mixed(2), coherent_stage(2, np.diag([1.0, 2.0])))
     with pytest.raises(ValueError):
         FeedbackProtocol(3, depolarizing_channel(2, 0.5), 0.5, 0.5,
-                         maximally_mixed(3), CoherentStage(np.eye(3)))
+                         maximally_mixed(3), coherent_stage(3, np.eye(3)))
 
 
 @pytest.mark.parametrize("tau1,tau2,message", [(1.2, 0.5, "tau1 must be in [0,1], got 1.2"),
@@ -657,45 +655,50 @@ def test_protocol_validation():
                          ids=["tau1", "tau2"])
 def test_protocol_names_the_coupling_outside_the_unit_interval(tau1, tau2, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        FeedbackProtocol(2, depolarizing_channel(2, 0.5), tau1, tau2, maximally_mixed(2), CoherentStage(np.eye(2)))
+        FeedbackProtocol(2, depolarizing_channel(2, 0.5), tau1, tau2, maximally_mixed(2), coherent_stage(2, np.eye(2)))
+
+
+@pytest.mark.parametrize("ops,message", [
+    (np.eye(2), "controller operators must be stacked (J, 2, 2), got shape (2, 2)"),
+    (np.eye(3)[None], "controller operators must be stacked (J, 2, 2), got shape (1, 3, 3)"),
+    (np.zeros((0, 2, 2)), "channel needs at least one Kraus operator"),
+    (np.stack([np.eye(2), np.eye(2)]), "Kraus completeness violated: max|ΣK†K - 1| = 1.000e+00"),
+    (np.diag([1.0, 0.5])[None], "Kraus completeness violated: max|ΣK†K - 1| = 7.500e-01"),
+], ids=["two-dimensional", "other-size", "empty", "overcomplete", "incomplete"])
+def test_protocol_refuses_misshaped_or_incomplete_controller_operators(ops, message):
+    """A stack that no stage constructor made is checked by the protocol: its
+    shape, and completeness, which makes the cycle trace preserving."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeedbackProtocol(2, depolarizing_channel(2, 0.5), 0.5, 0.5, maximally_mixed(2), ops)
+
+
+def test_reset_state_is_checked_once_per_protocol(monkeypatch):
+    """The protocol checks η on construction; its own L, the majorisation
+    check's pre-U₂ maps and an ensemble do not check it again."""
+    checked = []
+    check = loop.check_density_matrix
+    monkeypatch.setattr(loop, "check_density_matrix",
+                        lambda rho, what="state": checked.append(what) or check(rho, what))
+    p = mf_cooling(2, 0.5, 0.5)
+    assert checked == ["controller reset state"]
+    sample_ensemble(maximally_mixed(2), p, 3, 4, seed=0, check_majorization=True)
+    assert checked.count("controller reset state") == 1
 
 
 def test_one_dimensional_protocol_has_a_unique_steady_state():
     # d = 1: the cycle superoperator is the 1x1 identity, its only eigenvalue is 1 and the gap is 1
-    p = FeedbackProtocol(1, identity_channel(1), 0.5, 0.5, np.eye(1), CoherentStage(np.eye(1)))
+    p = FeedbackProtocol(1, identity_channel(1), 0.5, 0.5, np.eye(1), coherent_stage(1, np.eye(1)))
     rho, gap = steady_state(p)
     assert rho.shape == (1, 1) and rho[0, 0] == 1.0 and gap == 1.0
-
-
-def reference_branch_maps(p, tau2):
-    """Slow joint-space reference for the per-outcome Liouville matrices: column
-    a + d*b of L_j is the image of |a><b| under the noise, the product with η,
-    U₁, 1⊗M_j, U₂ (transmissivity tau2) and the controller trace."""
-    d = p.d
-    eye = np.eye(d)
-    maps = []
-    for m in p.stage.controller_ops(d):
-        g = partial_swap(d, tau2) @ np.kron(eye, m) @ partial_swap(d, p.tau1)
-        cols = []
-        for b in range(d):
-            for a in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[a, b] = 1.0
-                noisy = sum(k @ unit @ k.conj().T for k in p.noise.kraus)
-                joint = g @ np.kron(noisy, p.eta) @ g.conj().T
-                cols.append(stack(partial_trace(joint, d, d, keep="A")))
-        maps.append(np.column_stack(cols))
-    return np.array(maps)
 
 
 def reference_cases(d, rng):
     """Every stage type, η pure, mixed and rank-deficient, depolarising and
     (for qubits) amplitude-damping noise."""
     stages = {
-        "coherent": CoherentStage(random_unitary(d, rng)),
-        "projective": ProjectiveStage(feedback=tuple(random_unitary(d, rng) for _ in range(d)),
-                                      basis=random_unitary(d, rng)),
-        "povm": PovmStage(kraus=random_kraus_channel(d, 3, rng).kraus),
+        "coherent": coherent_stage(d, random_unitary(d, rng)),
+        "projective": projective_stage(d, tuple(random_unitary(d, rng) for _ in range(d)), random_unitary(d, rng)),
+        "povm": povm_stage(d, random_kraus_channel(d, 3, rng).kraus),
     }
     etas = {
         "pure": dm(random_unitary(d, rng)[:, 0]),
@@ -714,11 +717,12 @@ def reference_cases(d, rng):
 def test_liouville_core_matches_joint_space_reference(d):
     rng = np.random.default_rng(40 + d)
     for name, p in reference_cases(d, rng):
-        ref = reference_branch_maps(p, p.tau2)
+        ref = reference.joint_branch_maps(p.tau1, p.tau2, p.eta, p.ops, p.noise)
         assert p.L.shape == ref.shape == (p.n_outcomes, d * d, d * d), name
         assert max_abs(p.L - ref) <= 1e-12, name
         # the pre-U₂ maps behind the majorisation check: no second coupling
-        assert max_abs(_branch_liouvillians(p, 1.0) - reference_branch_maps(p, 1.0)) <= 1e-12, name
+        mids = reference.joint_branch_maps(p.tau1, 1.0, p.eta, p.ops, p.noise)
+        assert max_abs(_branch_liouvillians(p, 1.0) - mids) <= 1e-12, name
         left = stack(np.eye(d)) @ p.L.sum(axis=0)
         assert max_abs(left - stack(np.eye(d))) <= 1e-12, name
         probs = [prob for prob, _ in conditional_branches(random_density_matrix(d, rng), p)]
@@ -729,4 +733,4 @@ def test_dimension_above_limit_is_refused():
     d = MAX_DIM + 1
     with pytest.raises(ValueError, match=str(MAX_DIM)):
         FeedbackProtocol(d, identity_channel(d), 0.5, 0.5, maximally_mixed(d),
-                         CoherentStage(np.eye(d)))
+                         coherent_stage(d, np.eye(d)))

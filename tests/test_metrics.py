@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qfeedback.loop import CoherentStage, FeedbackProtocol, PovmStage, ProjectiveStage, Superoperator, build_superoperator
+from qfeedback.loop import FeedbackProtocol, build_superoperator, coherent_stage, povm_stage, projective_stage
 from qfeedback.metrics import _bloch_states, haar_avg_bitflip_fidelity, linear_entropy, von_neumann_entropy
 from qfeedback.quantum import (
     controller_state,
@@ -49,7 +51,7 @@ def test_fidelity_to_pure():
 
 def cf_bitflip(tau, eta0=0.5):
     return FeedbackProtocol(2, identity_channel(2), tau, tau,
-                            controller_state(2, eta0), CoherentStage(pauli_x))
+                            controller_state(2, eta0), coherent_stage(2, pauli_x))
 
 
 def test_haar_avg_cf_limits():
@@ -60,7 +62,7 @@ def test_haar_avg_cf_limits():
 
 def test_haar_avg_projective_mf():
     p = FeedbackProtocol(2, identity_channel(2), 0.5, 0.5, maximally_mixed(2),
-                         ProjectiveStage(feedback=(pauli_x, pauli_x)))
+                         projective_stage(2, (pauli_x, pauli_x)))
     assert abs(haar_avg_bitflip_fidelity(p) - 0.5) <= 1e-9
 
 
@@ -76,19 +78,26 @@ def test_haar_avg_node_floor():
         haar_avg_bitflip_fidelity(cf_bitflip(0.5), nodes=3)
 
 
+@pytest.mark.parametrize("nodes", [4.5, 32.0, "32"])
+def test_haar_avg_refuses_a_non_integer_node_count(nodes):
+    message = f"nodes must be an integer of at least 4 (quadrature nodes per axis), got {nodes!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        haar_avg_bitflip_fidelity(cf_bitflip(0.5), nodes=nodes)
+
+
 def test_haar_avg_requires_identity_noise():
     p = FeedbackProtocol(2, depolarizing_channel(2, 0.9), 0.5, 0.5,
-                         maximally_mixed(2), CoherentStage(pauli_x))
+                         maximally_mixed(2), coherent_stage(2, pauli_x))
     with pytest.raises(ValueError):
         haar_avg_bitflip_fidelity(p)
 
 
 def test_haar_avg_of_a_cycle_superoperator_equals_that_of_its_protocol():
     p = FeedbackProtocol(2, identity_channel(2), 0.4, 0.4, maximally_mixed(2),
-                         PovmStage(kraus=bitflip_povm_kraus(0.3, 0.8)))
+                         povm_stage(2, bitflip_povm_kraus(0.3, 0.8)))
     assert haar_avg_bitflip_fidelity(build_superoperator(p)) == haar_avg_bitflip_fidelity(p)
     with pytest.raises(ValueError, match="qubit-only"):
-        haar_avg_bitflip_fidelity(Superoperator(3, np.eye(9)))
+        haar_avg_bitflip_fidelity(np.eye(9, dtype=complex))
 
 
 def test_haar_avg_invariant_under_x_rotation_conjugation():
@@ -98,9 +107,9 @@ def test_haar_avg_invariant_under_x_rotation_conjugation():
     r = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * pauli_x
     k0, k1 = bitflip_povm_kraus(0.8, 0.35)
     p = FeedbackProtocol(2, identity_channel(2), 0.4, 0.4, maximally_mixed(2),
-                         PovmStage(kraus=(k0, k1)))
+                         povm_stage(2, (k0, k1)))
     p_rot = FeedbackProtocol(2, identity_channel(2), 0.4, 0.4, maximally_mixed(2),
-                             PovmStage(kraus=(r @ k0 @ r.conj().T, r @ k1 @ r.conj().T)))
+                             povm_stage(2, (r @ k0 @ r.conj().T, r @ k1 @ r.conj().T)))
     a = haar_avg_bitflip_fidelity(p)
     b = haar_avg_bitflip_fidelity(p_rot)
     assert abs(a - b) <= 1e-9

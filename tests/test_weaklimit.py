@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qfeedback.loop import (
-    CoherentStage,
     FeedbackProtocol,
-    PovmStage,
     all_to_target_stage,
+    coherent_stage,
+    povm_stage,
 )
 from qfeedback.quantum import (
     dm,
@@ -24,12 +24,12 @@ from qfeedback.weaklimit import effective_hamiltonian, first_order_defect, lie_c
 def test_effective_hamiltonian_mixed_controller_cf():
     rng = np.random.default_rng(0)
     for d in (2, 3):
-        h = effective_hamiltonian(maximally_mixed(d), CoherentStage(random_unitary(d, rng)))
+        h = effective_hamiltonian(maximally_mixed(d), coherent_stage(d, random_unitary(d, rng)))
         assert max_abs(h - 2.0 * np.eye(d) / d) <= 1e-12
 
 
 def test_effective_hamiltonian_cf_sigma_x():
-    h = effective_hamiltonian(dm(ket(2, 0)), CoherentStage(pauli_x))
+    h = effective_hamiltonian(dm(ket(2, 0)), coherent_stage(2, pauli_x))
     assert max_abs(h - np.eye(2)) <= 1e-12
 
 
@@ -42,7 +42,7 @@ def test_effective_hamiltonian_mf_reset_to_plus():
 
 def test_effective_hamiltonian_affine_in_eta():
     rng = np.random.default_rng(1)
-    stage = PovmStage(kraus=random_kraus_channel(2, 2, rng).kraus)
+    stage = povm_stage(2, random_kraus_channel(2, 2, rng).kraus)
     e1 = random_density_matrix(2, rng)
     e2 = random_density_matrix(2, rng)
     p = 0.37
@@ -67,14 +67,14 @@ def test_first_order_defect_quadratic_scaling():
 def test_first_order_defect_identity_generator_case():
     # maximally mixed controller CF: h ∝ identity, the commutator vanishes and
     # the defect is the pure second-order remainder
-    p = weak_protocol(CoherentStage(pauli_x), maximally_mixed(2))
+    p = weak_protocol(coherent_stage(2, pauli_x), maximally_mixed(2))
     d1 = first_order_defect(p, 1e-2)
     d2 = first_order_defect(p, 5e-3)
     assert abs(d1 / d2 - 4.0) <= 0.4
 
 
 def test_first_order_defect_rejects_nonpositive_step():
-    p = weak_protocol(CoherentStage(pauli_x), maximally_mixed(2))
+    p = weak_protocol(coherent_stage(2, pauli_x), maximally_mixed(2))
     with pytest.raises(ValueError):
         first_order_defect(p, 0.0)
 
@@ -100,7 +100,7 @@ def test_lie_closure_random_pairs_are_full():
 def test_lie_closure_cf_mixed_controller_is_trivial():
     rng = np.random.default_rng(3)
     for d in (2, 3):
-        gens = [effective_hamiltonian(maximally_mixed(d), CoherentStage(random_unitary(d, rng)))
+        gens = [effective_hamiltonian(maximally_mixed(d), coherent_stage(d, random_unitary(d, rng)))
                 for _ in range(4)]
         assert lie_closure_dim(gens) == 1
 
@@ -110,7 +110,7 @@ def test_lie_closure_mf_pure_controller_is_full():
     for d in (2, 3):
         eta = dm(ket(d, 0))
         gens = [
-            effective_hamiltonian(eta, PovmStage(kraus=random_kraus_channel(d, 2, rng).kraus))
+            effective_hamiltonian(eta, povm_stage(d, random_kraus_channel(d, 2, rng).kraus))
             for _ in range(2)
         ]
         assert lie_closure_dim(gens) == d * d
@@ -176,3 +176,11 @@ def test_lie_closure_analytic_cases():
     assert lie_closure_dim([sx3, sz3]) == 4  # 1 and u(2)'s traceless part on the first two levels
     commuting = [np.diag([1.0, -1.0, 0.0]).astype(complex), np.diag([1.0, 1.0, -2.0]).astype(complex)]
     assert lie_closure_dim(commuting) == 3
+
+
+@pytest.mark.parametrize("dtheta", [-1e-3, float("nan"), float("inf")])
+def test_first_order_defect_refuses_a_non_finite_or_negative_step(dtheta):
+    # refused by name before np.cos sees the step
+    p = weak_protocol(coherent_stage(2, pauli_x), maximally_mixed(2))
+    with pytest.raises(ValueError, match=f"dtheta must be positive and finite, got {dtheta}"):
+        first_order_defect(p, dtheta)
