@@ -346,7 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append((values, row))
 
     if rows:
-        header = names + list(rows[0][1].keys())
+        header = names + list(dict.fromkeys(k for _, row in rows for k in row))  # a column a row lacks is empty
         _write_csv(args.out, header, _row_blocks(
             [[float(v) for v in values] + [row.get(k) for k in header[len(axes):]] for values, row in rows]))
         if args.out:

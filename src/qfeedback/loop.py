@@ -10,10 +10,12 @@ One cycle splits into one branch per controller outcome j, each a d²xd²
 Liouville matrix L_j on column-stacked density matrices, vec(AρB) =
 (Bᵀ⊗A) vec ρ (Wood, Biamonte & Cory, QIC 2015): with η = Σ_l e_l |f_l><f_l|
 and A_jkl = (1⊗<k|) U₂ (1⊗M_j) U₁ (1⊗|f_l>), L_j = (Σ_kl e_l Ā_jkl⊗A_jkl)·N,
-where N = Σ K̄⊗K is the noise channel. The stack L (J x d² x d²) is built
-once per protocol; the superoperator Σ_j L_j, its steady state (cross-checked
-by fixed-point iteration), the branch probabilities vec(1)ᵀ L_j vec ρ and the
-seeded trajectories (trajectory i is row i of one ensemble) read from it.
+where N = Σ K̄⊗K is the noise channel, whose Kraus operators K are a stack
+(n, d, d) like a stage's. The stack L (J x d² x d²) is built once per
+protocol; the superoperator Σ_j L_j, its steady state (an eigensolve, which
+`validate`'s steady-spot-value check compares with `iterate_to_fixed_point`),
+the branch probabilities vec(1)ᵀ L_j vec ρ and the seeded trajectories
+(trajectory i is row i of one ensemble) read from it.
 
 An ensemble step works on distinct values. The trajectories' states repeat
 heavily at d = 2, so each step contracts L only with the distinct states
@@ -112,7 +114,7 @@ def projective_stage(d: int, feedback, basis: np.ndarray | None = None) -> np.nd
 
 def povm_stage(d: int, kraus) -> np.ndarray:
     """General in-loop POVM: its Kraus operators K_j (feedback absorbed), checked complete, stacked (J, d, d)."""
-    return np.stack(KrausChannel(d, tuple(kraus)).kraus)
+    return KrausChannel(d, kraus).kraus
 
 
 def all_to_target_stage(d: int, target: np.ndarray | int = 0) -> np.ndarray:
@@ -156,7 +158,7 @@ class FeedbackProtocol:
         ops = np.asarray(self.ops, dtype=complex)
         if ops.ndim != 3 or ops.shape[1:] != (d, d):
             raise ValueError(f"controller operators must be stacked (J, {d}, {d}), got shape {ops.shape}")
-        KrausChannel(d, tuple(ops))  # complete operators make the cycle trace preserving
+        KrausChannel(d, ops)  # complete operators make the cycle trace preserving
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "L", _branch_liouvillians(self, self.tau2))  # checks tau1 and tau2
 
@@ -180,7 +182,7 @@ def _liouville(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def noise_liouville(noise: KrausChannel) -> np.ndarray:
     """The d²xd² Liouville matrix Σ K̄⊗K of a noise channel."""
-    return _liouville(np.stack(noise.kraus), np.ones(len(noise.kraus)))
+    return _liouville(noise.kraus, np.ones(len(noise.kraus)))
 
 
 def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.ndarray) -> np.ndarray:

@@ -65,21 +65,15 @@ def _bitflip_fidelities(sop: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
 
 
-def _check_bitflip_protocol(d: int, noise) -> None:
-    if d != 2:
-        raise ValueError("the bit-flip benchmark is qubit-only")
-    if len(noise.kraus) != 1 or not np.allclose(noise.kraus[0], np.eye(2), atol=1e-12):
-        raise ValueError("the bit-flip benchmark assumes identity noise")
-
-
 def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
     """Haar-averaged fidelity of the output of one qubit cycle to sigma_x |psi>.
 
     (4π)^-1 ∬ <ψ_X|ρ_out(χ,φ)|ψ_X> sinχ dχ dφ over the pure-state sphere,
     with ψ_X = σ_x ψ. p is a qubit protocol with identity noise (the bit-flip
     benchmark is defined without system noise), or the 4x4 superoperator of
-    the cycle of one such protocol (a sweep point, whose noise and trace the
-    sweep checks). `nodes` is an integer, at least 4.
+    the cycle of one such protocol (a sweep point of a bit-flip scenario,
+    whose noise is the identity channel and whose trace the sweep checks).
+    `nodes` is an integer, at least 4.
     """
     if not isinstance(nodes, (int, np.integer)) or nodes < 4:
         raise ValueError(f"nodes must be an integer of at least 4 (quadrature nodes per axis), got {nodes!r}")
@@ -88,7 +82,10 @@ def haar_avg_bitflip_fidelity(p, nodes: int = 32) -> float:
             raise ValueError("the bit-flip benchmark is qubit-only")
         sop = p
     else:
-        _check_bitflip_protocol(p.d, p.noise)
+        if p.d != 2:
+            raise ValueError("the bit-flip benchmark is qubit-only")
+        if len(p.noise.kraus) != 1 or not np.allclose(p.noise.kraus[0], np.eye(2), atol=1e-12):
+            raise ValueError("the bit-flip benchmark assumes identity noise")
         sop = build_superoperator(p)
     psi, w, n_phi = _bloch_states(nodes)
     per_polar = _bitflip_fidelities(sop, psi).reshape(nodes, n_phi).mean(axis=1)  # exact trapezoid on the circle

@@ -3,9 +3,10 @@ used by the feedback cycle.
 
 Density matrices are plain complex ndarrays; `check_density_matrix` enforces
 the invariants (Hermitian within 1e-10, unit trace within 1e-10, eigenvalues
-above -1e-8). Channels are Kraus lists wrapped in `KrausChannel`, which
-enforces completeness on construction. `max_abs` is the entrywise norm most
-tolerances are stated in, and `hermitize` symmetrises a matrix or refuses it.
+above -1e-8). A channel is a `KrausChannel`: its Kraus operators as one
+complex stack (n, d, d), as an in-loop stage is held, checked complete on
+construction. `max_abs` is the entrywise norm most tolerances are stated in,
+and `hermitize` symmetrises a matrix or refuses it.
 Every check fails on NaN as well as on a deviation above its tolerance.
 """
 
@@ -93,24 +94,25 @@ def clean_state(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CP trace-preserving map given by Kraus operators {K_j}, sum K†K = 1."""
+    """A CP trace-preserving map given by Kraus operators {K_j}, sum K†K = 1,
+    held as one complex stack (n, d, d), as an in-loop stage is held."""
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        if not len(self.kraus):
             raise ValueError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim, self.dim):
-                raise ValueError(f"Kraus operator shape {k.shape} != ({self.dim},{self.dim})")
+        for k in self.kraus:
+            if np.shape(k) != (self.dim, self.dim):
+                raise ValueError(f"Kraus operator shape {np.shape(k)} != ({self.dim},{self.dim})")
+        ops = np.asarray(self.kraus, dtype=complex)
         # ΣK†K summed in operator order (numpy sums the 1x1 products of d = 1 pairwise), 64 operators
         # to a batched product: a d = 16 channel's 256 products at once would be a fresh 1 MB buffer,
         # slower than the chunks
         comp = None
         for start in range(0, len(ops), 64):
-            stack = np.array(ops[start:start + 64])
+            stack = ops[start:start + 64]
             products = np.swapaxes(stack.conj(), 1, 2) @ stack
             comp = (products if comp is None else np.concatenate([comp, products])).sum(axis=0, keepdims=True)
         dev = max_abs(comp[0] - np.eye(self.dim))
@@ -120,7 +122,7 @@ class KrausChannel:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d, (np.eye(d, dtype=complex),))
+    return KrausChannel(d, np.eye(d, dtype=complex)[None])
 
 
 @functools.lru_cache(maxsize=16)
@@ -145,7 +147,7 @@ def depolarizing_channel(d: int, lam: float) -> KrausChannel:
     p = (1.0 - lam) / d**2
     scale = np.full(d * d, np.sqrt(p))
     scale[0] = np.sqrt(lam + p)
-    return KrausChannel(d, tuple(scale[:, None, None] * _weyl_ops(d)))
+    return KrausChannel(d, scale[:, None, None] * _weyl_ops(d))
 
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:
@@ -248,5 +250,4 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_kraus_channel(d: int, n_ops: int, rng: np.random.Generator) -> KrausChannel:
     """Random channel: n_ops Kraus operators from a Haar unitary on a dilated space."""
     u = random_unitary(d * n_ops, rng)
-    blocks = tuple(u[i * d:(i + 1) * d, :d] for i in range(n_ops))
-    return KrausChannel(d, blocks)
+    return KrausChannel(d, u[:, :d].reshape(n_ops, d, d))

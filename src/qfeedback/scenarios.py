@@ -42,7 +42,7 @@ from .loop import (
     steady_states,
     superoperators,
 )
-from .metrics import _check_bitflip_protocol, haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
+from .metrics import haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
 from .quantum import (
     amplitude_damping_channel,
     controller_state,
@@ -310,6 +310,14 @@ def _ad_cf_oracle(cfg: dict) -> dict[str, float]:
     return {"oracle_rho11": r for chi, r in ((0.0, chi0), (np.pi / 2, chipi2)) if abs(cfg["chi"] - chi) < 1e-12}
 
 
+def _ad_compare_oracle(cfg: dict) -> dict[str, float]:
+    """The three occupations, and the CF-over-MF threshold τ* where one exists (not at gamma=1). The
+    fifth value of ad_occupations, its CF-beats-MF verdict, is dropped: cf_beats_mf is read off the row."""
+    *rho11, crossover, _ = oracles.ad_occupations(cfg["tau1"], cfg["gamma"])
+    columns = dict(zip(("oracle_rho11_chi0", "oracle_rho11_chipi2", "oracle_rho11_mf"), rho11))
+    return columns if math.isnan(crossover) else columns | {"oracle_cf_crossover_tau": crossover}
+
+
 def _entropy_difference(row: dict) -> dict[str, float]:
     return {"s_mf_minus_s_cf": row["mf_entropy_linear"] - row["cf_entropy_linear"]}
 
@@ -370,9 +378,7 @@ SCENARIOS: dict[str, Scenario] = {
         {"cf_chi0": lambda c: coherent_stage(2, rotation(0.0)),
          "cf_chipi2": lambda c: coherent_stage(2, rotation(np.pi / 2)), "mf": _repump},
         True,
-        # zip drops the fifth value of ad_occupations, its CF-beats-MF verdict: cf_beats_mf is read off the row
-        lambda c: dict(zip(("oracle_rho11_chi0", "oracle_rho11_chipi2", "oracle_rho11_mf", "oracle_cf_crossover_tau"),
-                           oracles.ad_occupations(c["tau1"], c["gamma"]))),
+        _ad_compare_oracle,
         _cf_verdict),
     "bitflip-cf": Scenario("bitflip", _NOISY, _noiseless, {"cf": lambda c: coherent_stage(2, pauli_x)}, True,
                            lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[0]}, None),
@@ -416,20 +422,11 @@ def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[
     }
 
 
-def _noise_matrix(cfg: dict) -> np.ndarray:
-    """The Liouville matrix of the scenario's noise channel."""
-    scenario = SCENARIOS[cfg["scenario"]]
-    noise = scenario.noise(cfg)
-    if scenario.kind == "bitflip":
-        _check_bitflip_protocol(cfg["d"], noise)
-    return noise_liouville(noise)
-
-
 # The parts of a sweep point: the config keys each reads, and its builder. They are built in this
-# order, so a stage's refusals (a qubit-only scenario at d > 2) come before the bit-flip noise check.
+# order, so a stage's refusals (a qubit-only scenario at d > 2) come before any noise is built.
 _PARTS = {
     "ops": (tuple(sorted(_CONFIG_KEYS - {"sweep", "tau", "tau1", "tau2", "lambda", "gamma"})), _stages),
-    "noise": (("scenario", "d", "lambda", "gamma"), _noise_matrix),
+    "noise": (("scenario", "d", "lambda", "gamma"), lambda cfg: noise_liouville(SCENARIOS[cfg["scenario"]].noise(cfg))),
     "eta": (("d", "eta", "eta0"), _eta),
 }
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -943,6 +944,55 @@ def test_no_oracle_for_a_protocol_the_oracle_does_not_describe(tmp_path):
     assert "oracle_entropy_linear" in r.stdout
 
 
+def test_a_sweep_writes_a_column_that_only_a_later_row_has(capsys):
+    # the cf-clean oracle holds only for the unrotated loop, chi = 0, here the middle point
+    assert cli.main(["sweep", "--scenario", "cf-clean", "--sweep", "chi=-1:1:3"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [row["oracle_dev"] for row in rows] == ["", "0", ""]
+    assert [row["oracle_alpha0"] for row in rows] == ["", "1", ""]
+
+
+def test_ad_compare_has_no_crossover_cell_at_gamma_1(capsys):
+    # no threshold tau exists without decay-free steps; the other oracle columns stay
+    assert cli.main(["sweep", "--scenario", "ad-compare", "--sweep", "gamma=0.5:1:2"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    half, one = (dict(zip(header.split(","), line.split(","))) for line in lines)
+    assert float(half["oracle_cf_crossover_tau"]) > 0 and one["oracle_cf_crossover_tau"] == ""
+    assert one["oracle_rho11_mf"] == "0.625"
+    assert cli.main(["sweep", "--scenario", "ad-compare", "--sweep", "gamma=1:1:1"]) == 0
+    assert "oracle_cf_crossover_tau" not in capsys.readouterr().out
+
+
+def _boundary_runs():
+    """Every scenario at tau, lambda, gamma in {0, 1}, with eta0 in {0, 1/2, 1} for an eta0 scenario and
+    a, b in {0, 1} for bitflip-povm, at d = 2 and, where the scenario allows it, d = 3: each point as
+    `steady` (a steady scenario) and as a one-point sweep."""
+    for name, scenario in sorted(SCENARIOS.items()):
+        extra = {"eta0": (0.0, 0.5, 1.0)} if "eta0" in scenario.defaults["eta"] else {}
+        if name == "bitflip-povm":
+            extra = {"a": (0.0, 1.0), "b": (0.0, 1.0)}
+        dims = (2,) if scenario.qubit_only or "eta0" in extra else (2, 3)
+        for d, tau, *values in itertools.product(dims, (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), *extra.values()):
+            flags = [flag for key, v in zip(("lambda", "gamma", *extra), values) for flag in (f"--{key}", repr(v))]
+            common = ["--scenario", name, "--d", str(d), *flags]
+            if scenario.kind == "steady":
+                yield ["steady", *common, "--tau", repr(tau)]
+            yield ["sweep", *common, "--sweep", f"tau={tau!r}:{tau!r}:1"]
+
+
+def test_boundary_grid_exits_cleanly_with_finite_cells(capsys):
+    codes = []
+    for argv in _boundary_runs():
+        codes.append(cli.main(argv))
+        out, err = capsys.readouterr()
+        assert codes[-1] in (0, 3), (argv, err)
+        assert not re.search(r"\b(nan|inf)\b", out), (argv, out)
+        if codes[-1] == 3:
+            assert "the steady state is not unique" in err, (argv, err)
+    assert codes.count(0) == 228 and codes.count(3) == 116
+
+
 # oracle column -> the simulated column it must match
 ORACLE_COLUMNS = {
     "oracle_alpha0": "alpha0", "oracle_entropy_linear": "entropy_linear", "oracle_rho11": "rho11",
@@ -1077,6 +1127,17 @@ def test_each_sweep_part_reads_only_its_declared_keys(name):
                 assert want.keys() == got.keys() and all(np.array_equal(want[k], got[k]) for k in want), key
             else:
                 assert np.array_equal(want, got), (part, key)
+
+
+def test_every_bitflip_scenario_is_qubit_only_with_identity_noise():
+    # a sweep reads the Haar fidelity off a point's superoperator, which the benchmark defines without noise
+    bitflip = [name for name, scenario in SCENARIOS.items() if scenario.kind == "bitflip"]
+    assert bitflip
+    for name in bitflip:
+        assert SCENARIOS[name].qubit_only
+        for lam, gamma in itertools.product((0.0, 0.3, 1.0), (0.0, 0.7, 1.0)):
+            cfg = resolve_config({"scenario": name, "lambda": lam, "gamma": gamma})
+            assert np.array_equal(SCENARIOS[name].noise(cfg).kraus, np.eye(2)[None])
 
 
 def test_sweep_takes_one_haar_average_per_bitflip_point(monkeypatch, capsys):

@@ -205,6 +205,14 @@ def test_unconditional_equals_branch_average():
         assert max_abs(mix - cycle_unconditional(rho, p)) <= 1e-12
 
 
+def test_an_impossible_outcome_has_probability_zero_and_no_state():
+    # tau1 = tau2 = 1 leaves the clean controller in |0>, so the measurement never reads 1
+    p = FeedbackProtocol(2, identity_channel(2), 1.0, 1.0, dm(ket(2, 0)), all_to_target_stage(2, 0))
+    (p0, rho0), (p1, rho1) = conditional_branches(maximally_mixed(2), p)
+    assert p0 == 1.0 and max_abs(rho0 - maximally_mixed(2)) <= 1e-15
+    assert p1 == 0.0 and rho1.shape == (2, 2) and np.isnan(rho1).all()
+
+
 def test_measurement_basis_irrelevant_for_unconditional_cooling():
     # with a maximally mixed controller and every outcome mapped to the same
     # target, the averaged cycle does not depend on the measurement basis

@@ -98,6 +98,9 @@ def test_haar_avg_of_a_cycle_superoperator_equals_that_of_its_protocol():
     assert haar_avg_bitflip_fidelity(build_superoperator(p)) == haar_avg_bitflip_fidelity(p)
     with pytest.raises(ValueError, match="qubit-only"):
         haar_avg_bitflip_fidelity(np.eye(9, dtype=complex))
+    qutrit = FeedbackProtocol(3, identity_channel(3), 0.4, 0.4, maximally_mixed(3), coherent_stage(3, np.eye(3)))
+    with pytest.raises(ValueError, match="the bit-flip benchmark is qubit-only"):
+        haar_avg_bitflip_fidelity(qutrit)
 
 
 def test_haar_avg_invariant_under_x_rotation_conjugation():

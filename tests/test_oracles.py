@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,12 @@ def test_range_checks():
         oracles.bitflip_fidelity(0.5, 1.1, 0.0)
     with pytest.raises(ValueError):
         oracles.conditional_cooling(2, 0.5, 0.5, 0.3)  # below 1/d
+
+
+def test_oracles_refuse_points_with_no_unique_answer():
+    for call, message in [(lambda: oracles.mf_noisy_steady(2, 1.0, 1.0), "tau = lam = 1 leaves every state steady"),
+                          (lambda: oracles.cf_clean_steady(2, 0.0, 1.0), "degenerate parameters: (1-2*tau)**2 * lam = 1"),
+                          (lambda: oracles.conditional_cooling(2, 0.0, 1.0, 1.0),
+                           "outcome 0 is certain; no other branch exists")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

@@ -143,6 +143,43 @@ def test_kraus_completeness_enforced():
         KrausChannel(2, (np.diag([np.nan, 1.0]),))
 
 
+def test_channel_constructors_hold_one_complex_stack():
+    rng = np.random.default_rng(3)
+    for ch, shape in ((identity_channel(3), (1, 3, 3)), (depolarizing_channel(3, 0.3), (9, 3, 3)),
+                      (amplitude_damping_channel(0.7), (2, 2, 2)), (random_kraus_channel(2, 3, rng), (3, 2, 2))):
+        assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == complex and ch.kraus.shape == shape
+
+
+def _refusal(kraus) -> str:
+    with pytest.raises(ValueError) as info:
+        KrausChannel(2, kraus)
+    return str(info.value)
+
+
+def test_kraus_channel_takes_a_sequence_and_a_stack_alike():
+    ops = random_kraus_channel(2, 3, np.random.default_rng(4)).kraus
+    assert np.array_equal(KrausChannel(2, list(ops)).kraus, KrausChannel(2, ops).kraus)
+    assert KrausChannel(2, [[[1, 0], [0, 1]]]).kraus.dtype == complex  # nested lists are operators too
+    for bad, message in [(ops[:0], "channel needs at least one Kraus operator"),
+                         (np.eye(3)[None], "Kraus operator shape (3, 3) != (2,2)"),
+                         (np.eye(2), "Kraus operator shape (2,) != (2,2)"),
+                         (ops[:2], "Kraus completeness violated: max|ΣK†K - 1| = ")]:
+        assert _refusal(list(bad)) == _refusal(bad)
+        assert _refusal(bad).startswith(message)
+    # a ragged list is refused at its first mis-shaped operator
+    assert _refusal([np.eye(2), np.eye(3)]) == "Kraus operator shape (3, 3) != (2,2)"
+
+
+def test_channel_and_state_refusals_name_the_bad_value():
+    for call, message in [(lambda: depolarizing_channel(2, 1.5), "noise parameter must be in [0,1], got 1.5"),
+                          (lambda: amplitude_damping_channel(-0.1), "damping strength must be in [0,1], got -0.1"),
+                          (lambda: controller_state(2, 1.5), "eta0 must be in [0,1], got 1.5"),
+                          (lambda: check_density_matrix(np.ones((2, 3))),
+                           "state must be a square matrix, got shape (2, 3)")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_apply_channel_dim_mismatch():
     with pytest.raises(ValueError):
         apply_channel(maximally_mixed(3), identity_channel(2))
