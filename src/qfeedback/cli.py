@@ -12,7 +12,8 @@ to reproduce the output byte for byte. An existing output file is written
 over in place and cut to length; an `--out` that cannot name a new or
 existing file is refused before anything is computed.
 
-A sweep computes all its points as one batch. Points whose steady state is
+A sweep computes all its points as one batch (`scenarios.metric_rows`), and
+`steady` reads the one-point case of that batch. Points whose steady state is
 degenerate are left out of the CSV, named on stderr and listed under
 `degenerate` in the sidecar, and the sweep exits 3 after writing the other
 rows.
@@ -41,7 +42,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .loop import MAX_THREADS, DegenerateSteadyStateError, _mulhi, sample_ensemble, steady_state
+from .loop import MAX_THREADS, DegenerateSteadyStateError, _mulhi, sample_ensemble
 from .quantum import maximally_mixed
 from .scenarios import PARAMETERS, SCENARIOS, ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 
@@ -248,14 +249,12 @@ def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _resolved(args)
     if SCENARIOS[cfg["scenario"]].kind != "steady":
         raise ConfigError(f"scenario {cfg['scenario']!r} is not a single-protocol steady scenario")
-    (_, p), = build_protocols(cfg).items()
-    rho, gap = steady_state(p)
-    spectrum = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    row = metric_row(cfg, solved=(rho, gap))
+    row = metric_row(cfg, _spectrum=True)
+    spectrum = row.pop("spectrum")
 
     print(f"scenario: {cfg['scenario']} (d={cfg['d']}, tau1={cfg['tau1']:g}, tau2={cfg['tau2']:g}, "
           f"lambda={cfg['lambda']:g}, gamma={cfg['gamma']:g})")
-    print("spectrum: " + ", ".join(_fmt(float(x)) for x in spectrum))
+    print("spectrum: " + ", ".join(map(_fmt, spectrum)))
     print(f"von Neumann entropy (normalised): {_fmt(row['entropy_vn_norm'])}")
     print(f"linear entropy: {_fmt(row['entropy_linear'])}")
     print(f"purity: {_fmt(row['purity'])}")
@@ -272,7 +271,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
     if args.out:
         rest = {k: v for k, v in row.items() if k != "alpha0"}  # alpha0 heads the spectrum columns
         header = ["scenario"] + [f"alpha{i}" for i in range(len(spectrum))] + list(rest)
-        values = [cfg["scenario"]] + [float(x) for x in spectrum] + list(rest.values())
+        values = [cfg["scenario"]] + spectrum + list(rest.values())
         _write_csv(args.out, header, _row_blocks([values]))
         _write_sidecar(args.out, "steady", cfg)
     return EXIT_OK

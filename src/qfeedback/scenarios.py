@@ -9,12 +9,13 @@ every preset protocol from this table. `PARAMETERS` declares each config
 parameter once: its type, default, range and flag help, from which the
 defaults, the config check, the CLI flags and the sweep axes are read. A
 scenario resolves a flat config dict (parameter defaults < scenario defaults
-< config file < command-line overrides) into one or more
-`FeedbackProtocol`s and computes its metric row, with the oracle values
-wherever the oracle describes the protocol that was built. `metric_rows`
-computes the rows of many configs (a sweep) as one batch: the noise, η and the
-stages are each built once per distinct value of the config keys they read,
-and each protocol label is built and solved as one stack.
+< config file < command-line overrides), and `metric_rows` computes the
+metric rows of many configs (a sweep, or the one point of `steady`) as one
+batch, with the oracle values wherever the oracle describes the protocol that
+was built: the noise, η and the stages are each built once per distinct value
+of the config keys they read, and each protocol label is built and solved as
+one stack. `build_protocols` builds a config's `FeedbackProtocol`s, for the
+commands and checks that step the cycle itself.
 """
 
 from __future__ import annotations
@@ -409,10 +410,10 @@ def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
             for label, ops in stages.items()}
 
 
-def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
-    """Metric columns of a stack of steady states (P, d, d) and their gaps."""
+def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str, spectrum: bool) -> dict[str, np.ndarray]:
+    """Metric columns of a stack of steady states (P, d, d) and their gaps, and the spectra (P, d) if asked."""
     w = np.sort(np.linalg.eigvalsh(rho), axis=-1)[:, ::-1]
-    return {
+    columns = {
         f"{prefix}alpha0": w[:, 0],
         f"{prefix}entropy_vn_norm": von_neumann_entropy(rho, normalised=True),
         f"{prefix}entropy_linear": linear_entropy(rho),
@@ -420,6 +421,7 @@ def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str = "") -> dict[
         f"{prefix}rho11": rho[:, 1, 1].real,
         f"{prefix}gap": gap,
     }
+    return columns | {f"{prefix}spectrum": w} if spectrum else columns
 
 
 # The parts of a sweep point: the config keys each reads, and its builder. They are built in this
@@ -445,8 +447,8 @@ def _point_parts(cfg: dict, built: dict) -> dict:
     return parts
 
 
-def _block_columns(cfgs: list[dict], built: dict) -> tuple[dict[str, np.ndarray],
-                                                           list[DegenerateSteadyStateError | None]]:
+def _block_columns(cfgs: list[dict], built: dict, spectrum: bool) -> tuple[dict[str, np.ndarray],
+                                                                           list[DegenerateSteadyStateError | None]]:
     """Simulated metric columns of a block of configs of one scenario and d,
     with each protocol label built and solved as one stack, and for every
     point its DegenerateSteadyStateError, or None where its steady states are
@@ -466,19 +468,20 @@ def _block_columns(cfgs: list[dict], built: dict) -> tuple[dict[str, np.ndarray]
         states, second, degenerate = steady_states(sops, d)
         unique = np.flatnonzero(~degenerate)
         prefix = f"{label}_" if scenario.kind == "compare" else ""
-        for key, column in _steady_metrics(states[unique], 1.0 - second[unique], prefix).items():
-            columns[key] = np.full(len(cfgs), np.nan)
+        for key, column in _steady_metrics(states[unique], 1.0 - second[unique], prefix, spectrum).items():
+            columns[key] = np.full((len(cfgs), *column.shape[1:]), np.nan)
             columns[key][unique] = column
         for i in np.flatnonzero(degenerate):
             errors[i] = errors[i] or degenerate_error(second[i])
     return columns, errors
 
 
-def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadyStateError]:
+def metric_rows(cfgs: list[dict], *, _spectrum: bool = False) -> list[dict[str, float] | DegenerateSteadyStateError]:
     """The metric rows of resolved configs of one scenario and d (the points
     of a sweep), computed as one batch per block of points whose L stacks fit
     MAX_BLOCK_BYTES. A point whose steady state is degenerate gets its
-    DegenerateSteadyStateError in place of a row."""
+    DegenerateSteadyStateError in place of a row. `_spectrum` adds each steady
+    state's descending spectrum to its row, as the list `spectrum` (no CSV column)."""
     d = cfgs[0]["d"]
     built: dict = {}  # the parts built so far, shared by every block; the first point's parts size the blocks
     n_outcomes = max(len(ops) for ops in _point_parts(cfgs[0], built)["ops"].values())
@@ -486,8 +489,9 @@ def metric_rows(cfgs: list[dict]) -> list[dict[str, float] | DegenerateSteadySta
     rows = []
     for start in range(0, len(cfgs), size):
         block = cfgs[start:start + size]
-        columns, errors = _block_columns(block, built)
-        rows += [error or _with_oracle(cfg, {key: float(column[i]) for key, column in columns.items()})
+        columns, errors = _block_columns(block, built, _spectrum)
+        cells = {key: column.tolist() for key, column in columns.items()}  # Python floats, a spectrum a list
+        rows += [error or _with_oracle(cfg, {key: values[i] for key, values in cells.items()})
                  for i, (cfg, error) in enumerate(zip(block, errors))]
     return rows
 
@@ -505,19 +509,13 @@ _DEV_COLUMNS = {"oracle_alpha0": "alpha0", "oracle_entropy_linear": "entropy_lin
                 "oracle_fidelity": "haar_fidelity"}
 
 
-def metric_row(cfg: dict, solved: tuple[np.ndarray, float] | None = None) -> dict[str, float]:
-    """Compute the full metric row for a resolved config (sweep/steady output):
-    the one-point case of `metric_rows`, raising DegenerateSteadyStateError at
-    a degenerate point. `solved`: the steady scenario's (state, gap), when the
-    caller already has it."""
-    if solved is None:
-        (row,) = metric_rows([cfg])
-        if isinstance(row, DegenerateSteadyStateError):
-            raise row
-        return row
-    rho, gap = solved
-    columns = _steady_metrics(rho[None], np.array([gap]))
-    return _with_oracle(cfg, {key: float(column[0]) for key, column in columns.items()})
+def metric_row(cfg: dict, *, _spectrum: bool = False) -> dict[str, float]:
+    """The metric row of a resolved config: the one-point case of `metric_rows`,
+    raising DegenerateSteadyStateError at a degenerate point."""
+    (row,) = metric_rows([cfg], _spectrum=_spectrum)
+    if isinstance(row, DegenerateSteadyStateError):
+        raise row
+    return row
 
 
 def _with_oracle(cfg: dict, row: dict[str, float]) -> dict[str, float]:

@@ -3,7 +3,10 @@ through the simulator pipeline and compared at the tolerances the package
 promises. `run_all` powers the `validate` CLI command; the test suite asserts
 on the same results. Checks whose protocols are scenarios read both the
 simulated and the oracle value from the scenario table's metric rows
-(`scenarios.metric_rows`), the rows `qfeedback sweep` writes.
+(`scenarios.metric_rows`), the rows `qfeedback sweep` writes; the spectrum
+grids read the steady spectra that `qfeedback steady` prints from the same
+rows. `cf-no-cooling` solves its random coherent loops as one Liouville stack
+per d (`loop.branch_liouvillians`, `loop.steady_states`).
 
 Checks are grouped by the claim they verify; each returns CheckResult rows
 with a pass flag and a human-readable detail string (worst deviation, fitted
@@ -18,16 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .loop import (DegenerateSteadyStateError, FeedbackProtocol, all_to_target_stage, coherent_stage,
-                   conditional_branches, cycle_unconditional, iterate_to_fixed_point, povm_stage, sample_ensemble,
-                   steady_state)
+from .loop import (DegenerateSteadyStateError, FeedbackProtocol, all_to_target_stage, branch_liouvillians,
+                   coherent_stage, conditional_branches, cycle_unconditional, degenerate_error,
+                   iterate_to_fixed_point, noise_liouville, povm_stage, sample_ensemble, stack, steady_state,
+                   steady_states, superoperators, unstack)
 from .metrics import von_neumann_entropy
-from .quantum import (depolarizing_channel, dm, identity_channel, ket, maximally_mixed, random_density_matrix,
-                      random_kraus_channel, random_unitary, unitary_mapping)
+from .quantum import (check_density_matrix, clean_state, depolarizing_channel, dm, identity_channel, ket,
+                      maximally_mixed, random_density_matrix, random_kraus_channel, random_unitary, unitary_mapping)
 from .scenarios import ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 from .weaklimit import effective_hamiltonian, first_order_defect, lie_closure_dim
 
 ORACLE_TOL = 1e-9
+# points per oracle grid, whose configs are held at once: 10⁴ took 18.5 s of the 60-s budget on a 2-core x86-64
+MAX_POINTS = 10 ** 4
 
 
 @dataclass
@@ -42,7 +48,7 @@ def _result(name: str, passed, detail: str) -> CheckResult:
 
 
 def _scenario(config: dict) -> dict[str, FeedbackProtocol]:
-    """The protocols of a scenario preset, built as the command line builds them."""
+    """The protocols of a scenario preset, for the checks that step the cycle itself."""
     return build_protocols(resolve_config(config))
 
 
@@ -50,14 +56,18 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(rho))[::-1]
 
 
-def _rows(configs: list[dict]) -> list[dict[str, float]]:
-    """The metric rows of scenario points, computed as a sweep computes them: one
-    `metric_rows` batch. A degenerate point raises, so its check fails."""
-    rows = metric_rows([resolve_config(config) for config in configs])
-    for row in rows:
+def _rows(configs: list[dict], spectrum: bool = False) -> list[dict[str, float]]:
+    """The metric rows of points of one scenario, computed as a sweep computes them: one `metric_rows`
+    batch per d, with `_spectrum` if `spectrum` is set. A degenerate point raises, so its check fails."""
+    cfgs = [resolve_config(config) for config in configs]
+    rows = {}
+    for d in sorted({cfg["d"] for cfg in cfgs}):
+        at = [i for i, cfg in enumerate(cfgs) if cfg["d"] == d]
+        rows.update(zip(at, metric_rows([cfgs[i] for i in at], _spectrum=spectrum)))
+    for row in rows.values():
         if isinstance(row, DegenerateSteadyStateError):
             raise row
-    return rows
+    return [rows[i] for i in range(len(cfgs))]
 
 
 def _worst(rows: list[dict[str, float]], *pairs: tuple[str, str]) -> float:
@@ -68,17 +78,21 @@ def _worst(rows: list[dict[str, float]], *pairs: tuple[str, str]) -> float:
 
 # --- criterion 1: oracle equivalence grids -------------------------------
 
-def _spectrum_grid(scenario: str, label: str, oracle, points: int, seed: int) -> CheckResult:
-    """The steady spectrum of protocol `label` of a scenario against its oracle spectrum, at random
-    d in {2, 3, 4} and tau, lambda in [0.03, 0.97]."""
+def _spectrum_worst(scenario: str, oracle, points: int, seed: int) -> float:
+    """The largest |steady spectrum - oracle spectrum| of a steady scenario at random d in {2, 3, 4}
+    and tau, lambda in [0.03, 0.97]."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    configs = []
     for _ in range(points):
         d = int(rng.integers(2, 5))
         tau, lam = rng.uniform(0.03, 0.97, 2)
-        rho, _ = steady_state(_scenario({"scenario": scenario, "d": d, "tau": tau, "lambda": lam})[label])
-        dev = np.max(np.abs(_spectrum(rho) - oracle(d, tau, lam)))
-        worst = max(worst, float(dev))
+        configs.append({"scenario": scenario, "d": d, "tau": tau, "lambda": lam})
+    return max(float(np.max(np.abs(np.array(row["spectrum"]) - oracle(c["d"], c["tau"], c["lambda"]))))
+               for c, row in zip(configs, _rows(configs, spectrum=True)))
+
+
+def _spectrum_grid(scenario: str, oracle, points: int, seed: int) -> CheckResult:
+    worst = _spectrum_worst(scenario, oracle, points, seed)
     return _result(f"oracle-grid[{oracle.__name__}]", worst < ORACLE_TOL, f"worst |sim-oracle| = {worst:.2e}")
 
 
@@ -200,8 +214,8 @@ def check_oracle_conditional(points: int = 100, seed: int = 107) -> CheckResult:
 def check_oracle_grids(points: int = 100) -> list[CheckResult]:
     """Criterion 1: every oracle matched by the simulator on a random grid."""
     subchecks = [
-        ("mf_noisy_steady", lambda points: _spectrum_grid("mf-noisy-cooling", "mf", oracles.mf_noisy_steady, points, 100)),
-        ("cf_clean_steady", lambda points: _spectrum_grid("cf-clean", "cf", oracles.cf_clean_steady, points, 101)),
+        ("mf_noisy_steady", lambda points: _spectrum_grid("mf-noisy-cooling", oracles.mf_noisy_steady, points, 100)),
+        ("cf_clean_steady", lambda points: _spectrum_grid("cf-clean", oracles.cf_clean_steady, points, 101)),
         ("clean_qubit_entropies", check_oracle_clean_entropies),
         ("eta_entropies", check_oracle_eta_entropies),
         ("cf_clean_general_qubit", check_oracle_cf_general),
@@ -236,21 +250,34 @@ def check_steady_spot() -> CheckResult:
 
 # --- criterion 3: CF no-cooling theorem -----------------------------------
 
-def check_cf_no_cooling(protocols: int = 500, seed: int = 300) -> CheckResult:
+def _cf_no_cooling_worst(protocols: int, seed: int) -> tuple[float, float]:
+    """The largest one-cycle entropy drop from a random state (0 if none drops) and |steady state - 1/d|
+    of random coherent loops with a maximally mixed controller, drawn one by one, solved as a stack per d."""
     rng = np.random.default_rng(seed)
-    worst_drop = 0.0
-    worst_ss = 0.0
+    points = []
     for _ in range(protocols):
         d = int(rng.integers(2, 4))
         tau1, tau2 = rng.uniform(0.0, 1.0, 2)
         lam = rng.uniform(0.0, 0.98)
-        p = FeedbackProtocol(d=d, noise=depolarizing_channel(d, lam), tau1=tau1, tau2=tau2,
-                             eta=maximally_mixed(d), ops=coherent_stage(d, random_unitary(d, rng)))
-        rho = random_density_matrix(d, rng)
-        drop = von_neumann_entropy(rho) - von_neumann_entropy(cycle_unconditional(rho, p))
-        worst_drop = max(worst_drop, drop)
-        rho_ss, _ = steady_state(p)
-        worst_ss = max(worst_ss, float(np.max(np.abs(rho_ss - maximally_mixed(d)))))
+        points.append((d, tau1, tau2, noise_liouville(depolarizing_channel(d, lam)),
+                       coherent_stage(d, random_unitary(d, rng)), random_density_matrix(d, rng)))
+    drops, devs = [], []
+    for d in sorted({point[0] for point in points}):
+        _, tau1, tau2, noise, ops, rho = zip(*(point for point in points if point[0] == d))
+        eta = np.broadcast_to(maximally_mixed(d), (len(rho), d, d))
+        sops = superoperators(branch_liouvillians(tau1, tau2, eta, np.stack(ops), np.stack(noise)), d)
+        rho = check_density_matrix(np.stack(rho))
+        after = clean_state(unstack((sops @ stack(rho)[..., None])[..., 0], d))  # one cycle of each
+        drops.append(von_neumann_entropy(rho) - von_neumann_entropy(after))
+        states, second, degenerate = steady_states(sops, d)
+        if degenerate.any():  # its state is NaN, which max() would pass over
+            raise degenerate_error(second[degenerate][0])
+        devs.append(np.abs(states - maximally_mixed(d)).max(axis=(1, 2)))
+    return max(0.0, float(np.concatenate(drops).max())), float(np.concatenate(devs).max())
+
+
+def check_cf_no_cooling(protocols: int = 500, seed: int = 300) -> CheckResult:
+    worst_drop, worst_ss = _cf_no_cooling_worst(protocols, seed)
     ok = worst_drop < 1e-10 and worst_ss < 1e-8
     return _result("cf-no-cooling", ok,
                    f"worst entropy drop {worst_drop:.2e} (tol 1e-10), worst |ss - 1/d| {worst_ss:.2e}")
@@ -463,8 +490,8 @@ CHECK_GROUPS: list[tuple[str, object]] = [
 
 def run_all(points: int = 100, only: str | None = None) -> list[CheckResult]:
     """Run every check (or the groups whose name contains `only`)."""
-    if points < 1:
-        raise ConfigError(f"points per oracle grid must be at least 1, got {points}")
+    if not 1 <= points <= MAX_POINTS:
+        raise ConfigError(f"points per oracle grid must be in [1, {MAX_POINTS}], got {points}")
     groups = CHECK_GROUPS
     if only is not None:
         groups = [(name, fn) for name, fn in CHECK_GROUPS if only in name]

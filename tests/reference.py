@@ -9,6 +9,11 @@ The partial-swap coupling itself is `qfeedback.quantum.partial_swap`;
 `joint_branch_maps` builds one cycle's per-outcome maps from it in the joint
 space.
 
+`steady_row`, `cf_no_cooling_worst` and `spectrum_grid_worst` are the
+per-protocol paths that `steady` and two `validate` checks took before they
+read batched metric rows and Liouville stacks: one `FeedbackProtocol` and one
+`steady_state` per point, with the seeds and draw order of the batched paths.
+
 `branch_liouvillians` is the other kind of reference: it builds the branch
 stack L with each Kraus tensor written out whole, as four outer products, and
 the blocked kernel `qfeedback.loop.branch_liouvillians` must reproduce it bit
@@ -19,9 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from qfeedback.loop import _liouville, build_superoperator, stack
-from qfeedback.metrics import _bitflip_fidelities
-from qfeedback.quantum import KrausChannel, check_density_matrix, hermitize, ket, partial_swap
+from qfeedback.loop import (FeedbackProtocol, _liouville, build_superoperator, coherent_stage, cycle_unconditional,
+                            stack, steady_state)
+from qfeedback.metrics import _bitflip_fidelities, von_neumann_entropy
+from qfeedback.quantum import (KrausChannel, check_density_matrix, depolarizing_channel, hermitize, ket,
+                               maximally_mixed, partial_swap, random_density_matrix, random_unitary)
+from qfeedback.scenarios import _steady_metrics, _with_oracle, build_protocols, resolve_config
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,3 +192,48 @@ def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.
         kraus = kraus.reshape(len(pts), n_j, d * ep.shape[1], d, d)  # [p, j, (k, l), a, b]
         out[pts] = _liouville(kraus, np.tile(ep, d)[:, None]) @ noise[pts, None]
     return out
+
+
+def steady_row(cfg: dict, _spectrum: bool = False) -> dict:
+    """`scenarios.metric_row` of a steady scenario's config, from its one protocol solved alone by
+    `steady_state`, with the spectrum of `eigvalsh` under `spectrum` if `_spectrum` is set."""
+    (p,) = build_protocols(cfg).values()
+    rho, gap = steady_state(p)
+    columns = _steady_metrics(rho[None], np.array([gap]), "", False)
+    row = _with_oracle(cfg, {key: float(column[0]) for key, column in columns.items()})
+    return row | {"spectrum": np.sort(np.linalg.eigvalsh(rho))[::-1].tolist()} if _spectrum else row
+
+
+def cf_no_cooling_worst(protocols: int, seed: int) -> tuple[float, float]:
+    """The worst entropy drop and worst |steady state - 1/d| of the `cf-no-cooling` check,
+    one protocol at a time."""
+    rng = np.random.default_rng(seed)
+    worst_drop = 0.0
+    worst_ss = 0.0
+    for _ in range(protocols):
+        d = int(rng.integers(2, 4))
+        tau1, tau2 = rng.uniform(0.0, 1.0, 2)
+        lam = rng.uniform(0.0, 0.98)
+        p = FeedbackProtocol(d=d, noise=depolarizing_channel(d, lam), tau1=tau1, tau2=tau2,
+                             eta=maximally_mixed(d), ops=coherent_stage(d, random_unitary(d, rng)))
+        rho = random_density_matrix(d, rng)
+        drop = von_neumann_entropy(rho) - von_neumann_entropy(cycle_unconditional(rho, p))
+        worst_drop = max(worst_drop, drop)
+        rho_ss, _ = steady_state(p)
+        worst_ss = max(worst_ss, float(np.max(np.abs(rho_ss - maximally_mixed(d)))))
+    return worst_drop, worst_ss
+
+
+def spectrum_grid_worst(scenario: str, label: str, oracle, points: int, seed: int) -> float:
+    """The worst |steady spectrum - oracle spectrum| of protocol `label` of a scenario on the
+    random grid of a spectrum `oracle-grid` check, one protocol at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(points):
+        d = int(rng.integers(2, 5))
+        tau, lam = rng.uniform(0.03, 0.97, 2)
+        rho, _ = steady_state(build_protocols(resolve_config({"scenario": scenario, "d": d, "tau": tau,
+                                                              "lambda": lam}))[label])
+        dev = np.max(np.abs(np.sort(np.linalg.eigvalsh(rho))[::-1] - oracle(d, tau, lam)))
+        worst = max(worst, float(dev))
+    return worst

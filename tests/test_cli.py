@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfeedback import cli, oracles
+from qfeedback import cli, loop, oracles
 from qfeedback.loop import sample_ensemble, steady_state
 from qfeedback.metrics import von_neumann_entropy
 from qfeedback.quantum import depolarizing_channel, maximally_mixed, random_unitary
@@ -293,14 +293,52 @@ def test_steady_csv_matches_per_cell_format(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(["steady", "--scenario", "mf-noisy-cooling", "--d", "3", "--tau", "0.3", "--out", str(out)]) == 0
     cfg = resolve_config({}, {"scenario": "mf-noisy-cooling", "d": 3, "tau": 0.3})
-    rho, gap = steady_state(build_protocols(cfg)["mf"])
-    row = metric_row(cfg, solved=(rho, gap))
+    rho, _ = steady_state(build_protocols(cfg)["mf"])  # the spectrum from the protocol path
     spectrum = [float(x) for x in np.sort(np.linalg.eigvalsh(rho))[::-1]]
+    row = metric_row(cfg)
     assert spectrum[0] == row.pop("alpha0")  # the spectrum's first column; the CSV wrote it twice
     assert out.read_bytes() == _per_cell_csv([["scenario", "alpha0", "alpha1", "alpha2", *row],
                                               ["mf-noisy-cooling", *spectrum, *row.values()]])
     header = out.read_text().splitlines()[0].split(",")
     assert len(set(header)) == len(header)
+
+
+def _resolves(config: dict) -> bool:
+    try:
+        resolve_config(config)
+    except cli.ConfigError:
+        return False
+    return True
+
+
+# every steady scenario at d=2, and each one that runs on a qudit (its defaults too) at d = 3, 4 and 8
+STEADY_POINTS = [(name, d) for name, scenario in SCENARIOS.items() if scenario.kind == "steady" for d in (2, 3, 4, 8)
+                 if d == 2 or not scenario.qubit_only and _resolves({"scenario": name, "d": d})]
+
+
+@pytest.mark.parametrize("scenario, d", STEADY_POINTS)
+def test_steady_bytes_equal_the_protocol_path(monkeypatch, capsys, tmp_path, scenario, d):
+    """`steady` reads the one-point batch of `metric_rows`; its stdout and CSV are those of the
+    scenario's protocol solved alone by `steady_state`, with the spectrum of `eigvalsh`."""
+    def run(name: str) -> tuple[str, bytes]:
+        out = tmp_path / name
+        assert cli.main(["steady", "--scenario", scenario, "--d", str(d), "--tau", "0.3", "--lambda", "0.7",
+                         "--gamma", "0.4", "--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    batched = run("batched.csv")
+    monkeypatch.setattr(cli, "metric_row", reference.steady_row)
+    assert run("protocol.csv") == batched
+
+
+def test_steady_builds_no_protocol(monkeypatch):
+    def per_protocol(*args, **kwargs):
+        raise AssertionError("steady took the per-protocol path")
+
+    monkeypatch.setattr(cli, "build_protocols", per_protocol)
+    monkeypatch.setattr(cli, "steady_state", per_protocol, raising=False)
+    monkeypatch.setattr(loop, "steady_state", per_protocol)
+    assert cli.main(["steady", "--scenario", "mf-noisy-cooling", "--d", "3", "--tau", "0.3"]) == 0
 
 
 def test_trajectories_stdout_equals_file(tmp_path):
@@ -1184,12 +1222,12 @@ def test_validate_single_check_passes():
     assert "steady-spot-value" in r.stdout
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
-def test_validate_points_below_one_exits_2(capsys, points):
-    # a grid of no points checks nothing, and would pass
+@pytest.mark.parametrize("points", ["0", "-3", "10001"])
+def test_validate_points_out_of_range_exits_2(capsys, points):
+    # a grid of no points checks nothing, and would pass; every grid holds all its points' configs at once
     assert cli.main(["validate", "--only", "oracle", "--points", points]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"config error: points per oracle grid must be at least 1, got {points}" in err
+    assert out == "" and f"config error: points per oracle grid must be in [1, 10000], got {points}" in err
 
 
 def test_validate_unknown_filter_exits_2(capsys):

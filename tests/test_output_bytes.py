@@ -3,8 +3,10 @@
 The outputs are replayed in-process: the README `steady` (stdout), the README `trajectories`, both
 README sweeps and CI's `steady --d 3 --tau 0.3 --out` (each CSV and its sidecar). Their hashes are
 in tests/golden/output_sha256.json, with the numpy version, the OpenBLAS version and the OpenBLAS
-core they were taken on. The README's kernel table shows that an older kernel changes some of these
-bytes, so on any other build the test skips and names both builds. `OPENBLAS_CORETYPE` sets the core.
+core they were taken on. The detail strings of `validate`'s checks, but for the runtime, are pinned
+as text in tests/golden/validate_details.txt, one `name<TAB>detail` line per check, on the same
+build. The README's kernel table shows that an older kernel changes some of these bytes, so on any
+other build the tests skip and name both builds. `OPENBLAS_CORETYPE` sets the core.
 """
 
 import contextlib
@@ -20,8 +22,10 @@ import numpy as np
 import pytest
 
 from qfeedback import cli
+from qfeedback.validate import run_all
 
 MANIFEST = Path(__file__).parent / "golden" / "output_sha256.json"
+VALIDATE_DETAILS = Path(__file__).parent / "golden" / "validate_details.txt"
 
 # output name -> the command line that writes it; "{out}" is the output file
 RUNS = {
@@ -71,10 +75,20 @@ def output_hashes(tmp: Path) -> dict[str, str]:
     return hashes
 
 
-def test_readme_outputs_keep_their_bytes(tmp_path):
-    manifest = json.loads(MANIFEST.read_text())
+def _skip_unless_pinned_build(manifest: dict) -> None:
     pinned = {key: manifest[key] for key in ("numpy", "openblas", "core")}
     build = this_build()
     if build != pinned:
         pytest.skip(f"output bytes are pinned on {pinned}; this build is {build}")
+
+
+def test_readme_outputs_keep_their_bytes(tmp_path):
+    manifest = json.loads(MANIFEST.read_text())
+    _skip_unless_pinned_build(manifest)
     assert output_hashes(tmp_path) == manifest["sha256"]
+
+
+def test_validate_keeps_its_detail_strings():
+    _skip_unless_pinned_build(json.loads(MANIFEST.read_text()))
+    details = "".join(f"{r.name}\t{r.detail}\n" for r in run_all() if r.name != "oracle-grid[runtime]")
+    assert details == VALIDATE_DETAILS.read_text()
