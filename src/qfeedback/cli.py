@@ -12,8 +12,10 @@ to reproduce the output byte for byte. An existing output file is written
 over in place and cut to length; an `--out` that cannot name a new or
 existing file is refused before anything is computed.
 
-A sweep computes all its points as one batch (`scenarios.metric_rows`), and
-`steady` reads the one-point case of that batch. Points whose steady state is
+A sweep resolves its base config once, checks each axis as one array and
+builds its point configs by assignment (`_sweep_configs`); it computes all its
+points as one batch (`scenarios.metric_rows`), and `steady` reads the
+one-point case of that batch. Points whose steady state is
 degenerate are left out of the CSV, named on stderr and listed under
 `degenerate` in the sidecar, and the sweep exits 3 after writing the other
 rows.
@@ -51,7 +53,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-MAX_SWEEP_POINTS = 10 ** 6  # a sweep holds about 4.2 KB per point
+MAX_SWEEP_POINTS = 10 ** 6  # beside one block, a sweep holds about 3 KB per point: its config and its row
 CSV_CHUNK_ROWS = 4096
 _CONVERSION = re.compile(r"%(?:\.15g|d|s)")  # the conversions of a CSV row template
 
@@ -324,6 +326,32 @@ def _check_sweep_size(n_points: int) -> None:
         raise ConfigError(f"a sweep may have at most {MAX_SWEEP_POINTS} points, got {n_points}")
 
 
+def _sweep_configs(cfg: dict, axes: list[tuple[str, np.ndarray]]) -> list[dict]:
+    """The resolved config of each point of a sweep, in the product order of
+    its `axes`, (name, values) pairs of float parameters: for a config `cfg`
+    resolved with these axes, what resolve_config(cfg, {name: value, ...})
+    gives at each point, built by assignment. The first point is resolved,
+    which refuses what does not depend on the values; each axis's values are
+    then checked as one array, and the first point holding a bad value is
+    resolved, which refuses it as resolve_config does."""
+    names = [name for name, _ in axes]
+    points = list(zip(*(grid.ravel().tolist() for grid in np.meshgrid(*(v for _, v in axes), indexing="ij"))))
+    first = resolve_config(cfg, dict(zip(names, points[0])))
+    ok = [(p.low <= v) & (v <= p.high) & np.isfinite(v) for name, v in axes for p in PARAMETERS if p.name == name]
+    bad = np.flatnonzero(~np.logical_and.reduce(np.meshgrid(*ok, indexing="ij")).ravel())
+    if bad.size:
+        resolve_config(cfg, dict(zip(names, points[bad[0]])))  # raises
+    configs = []
+    for values in points:
+        point = first | dict(zip(names, values))
+        if "tau" in names:
+            point["tau1"] = point["tau2"] = point["tau"]
+        if "eta0" in names:
+            point["eta"] = {"eta0": point["eta0"]}
+        configs.append(point)
+    return configs
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     axes = [_parse_axis(s) for s in (args.sweep or [])]
     if not 1 <= len(axes) <= 2:
@@ -333,27 +361,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep axes {', '.join(names)} set one parameter twice")
     cfg = _resolved(args, tuple(names))
     _check_sweep_size(math.prod(len(values) for _, values in axes))
-    points = list(itertools.product(*(values for _, values in axes)))
 
-    # every point is resolved like any config, and checked before any row is computed
-    point_cfgs = [resolve_config(cfg, dict(zip(names, map(float, values)))) for values in points]
+    # every point is resolved as resolve_config resolves it, and checked before any row is computed
+    point_cfgs = _sweep_configs(cfg, axes)
     rows, degenerate = [], []
-    for values, row in zip(points, metric_rows(point_cfgs)):
-        if isinstance(row, DegenerateSteadyStateError):
-            degenerate.append((values, row))
-        else:
-            rows.append((values, row))
+    for point, row in zip(point_cfgs, metric_rows(point_cfgs)):
+        values = [point[name] for name in names]
+        (degenerate if isinstance(row, DegenerateSteadyStateError) else rows).append((values, row))
 
     if rows:
         header = names + list(dict.fromkeys(k for _, row in rows for k in row))  # a column a row lacks is empty
         _write_csv(args.out, header, _row_blocks(
-            [[float(v) for v in values] + [row.get(k) for k in header[len(axes):]] for values, row in rows]))
+            [values + [row.get(k) for k in header[len(axes):]] for values, row in rows]))
         if args.out:
-            named = [dict(zip(names, map(float, values))) for values, _ in degenerate]
+            named = [dict(zip(names, values)) for values, _ in degenerate]
             _write_sidecar(args.out, "sweep", cfg | {"sweep": args.sweep}, **({"degenerate": named} if named else {}))
             print(f"wrote {len(rows)} rows to {args.out}")
     for values, exc in degenerate:
-        where = ", ".join(f"{name}={_fmt(float(v))}" for name, v in zip(names, values))
+        where = ", ".join(f"{name}={_fmt(v)}" for name, v in zip(names, values))
         print(f"degenerate steady state at {where}, row left out: {exc}", file=sys.stderr)
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 

@@ -65,8 +65,9 @@ PROBABILITY_FLOOR = 1e-15
 # J·d⁴ complex entries: 16.8 MB at d = 16 with J = d.
 MAX_DIM = 16
 # A batch of protocols is built and solved in blocks whose L stacks hold at
-# most this many bytes (at least one protocol per block).
-MAX_BLOCK_BYTES = 1 << 24
+# most this many bytes (at least one protocol per block). A block of one
+# outcome and a noise matrix per point peaks at about 3.3 times that.
+MAX_BLOCK_BYTES = 1 << 21
 # branch_liouvillians builds L in blocks of (point, outcome) pairs whose temporaries
 # hold about this many bytes (at least one pair per block)
 BUILD_BLOCK_BYTES = 1 << 19
@@ -180,9 +181,10 @@ def _liouville(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
             .reshape(*lead, d * d, d * d))
 
 
-def noise_liouville(noise: KrausChannel) -> np.ndarray:
-    """The d²xd² Liouville matrix Σ K̄⊗K of a noise channel."""
-    return _liouville(noise.kraus, np.ones(len(noise.kraus)))
+def noise_liouville(kraus: np.ndarray) -> np.ndarray:
+    """The d²xd² Liouville matrix Σ K̄⊗K of a noise channel from its Kraus operators (n, d, d), or one
+    per channel of a stack (..., n, d, d), each the bits of its own."""
+    return _liouville(kraus, np.ones(kraus.shape[:-2]))
 
 
 def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -269,7 +271,7 @@ def _branch_liouvillians(p: FeedbackProtocol, tau2: float) -> np.ndarray:
     """Per-outcome Liouville matrices of the cycle of p with its second coupling
     at transmissivity `tau2` (p.tau2; 1 stops before the second coupling). The
     protocol checked its reset state, so it is not checked again."""
-    return _branches([p.tau1], [tau2], p.eta[None], p.ops[None], noise_liouville(p.noise)[None])[0]
+    return _branches([p.tau1], [tau2], p.eta[None], p.ops[None], noise_liouville(p.noise.kraus)[None])[0]
 
 
 def _check_state(rho: np.ndarray, p: FeedbackProtocol) -> np.ndarray:

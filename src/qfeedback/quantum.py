@@ -62,6 +62,11 @@ def maximally_mixed(d: int) -> np.ndarray:
 def check_density_matrix(rho: np.ndarray, what: str = "state") -> np.ndarray:
     """Validate the density-matrix invariants and return the symmetrised matrix.
     A stack (..., d, d) is checked matrix by matrix; an error names the first failure."""
+    return checked_spectrum(rho, what)[0]
+
+
+def checked_spectrum(rho: np.ndarray, what: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """`check_density_matrix`'s symmetrised matrix and the ascending eigenvalues that its check takes."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {rho.shape}")
@@ -70,10 +75,11 @@ def check_density_matrix(rho: np.ndarray, what: str = "state") -> np.ndarray:
     off = ~(np.abs(tr - 1.0) <= TRACE_TOL)
     if off.any():
         raise ValueError(f"{what} has trace {tr[off][0]!r}, expected 1")
-    wmin = float(np.linalg.eigvalsh(rho)[..., 0].min(initial=np.inf))
+    w = np.linalg.eigvalsh(rho)
+    wmin = float(w[..., 0].min(initial=np.inf))
     if not wmin >= EIG_FLOOR:
         raise ValueError(f"{what} has eigenvalue {wmin:.3e} below {EIG_FLOOR:.1e}")
-    return rho
+    return rho, w
 
 
 def clean_state(rho: np.ndarray) -> np.ndarray:
@@ -106,19 +112,25 @@ class KrausChannel:
         for k in self.kraus:
             if np.shape(k) != (self.dim, self.dim):
                 raise ValueError(f"Kraus operator shape {np.shape(k)} != ({self.dim},{self.dim})")
-        ops = np.asarray(self.kraus, dtype=complex)
-        # ΣK†K summed in operator order (numpy sums the 1x1 products of d = 1 pairwise), 64 operators
-        # to a batched product: a d = 16 channel's 256 products at once would be a fresh 1 MB buffer,
-        # slower than the chunks
-        comp = None
-        for start in range(0, len(ops), 64):
-            stack = ops[start:start + 64]
-            products = np.swapaxes(stack.conj(), 1, 2) @ stack
-            comp = (products if comp is None else np.concatenate([comp, products])).sum(axis=0, keepdims=True)
-        dev = max_abs(comp[0] - np.eye(self.dim))
-        if not dev <= HERMITICITY_TOL:
-            raise ValueError(f"Kraus completeness violated: max|ΣK†K - 1| = {dev:.3e}")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", check_complete(np.asarray(self.kraus, dtype=complex), self.dim))
+
+
+def check_complete(ops: np.ndarray, dim: int) -> np.ndarray:
+    """Kraus operators stacked (..., n, dim, dim), each set of n checked complete: max|ΣK†K - 1| within
+    HERMITICITY_TOL, NaN failing. A refusal gives the deviation of the first set that fails."""
+    # ΣK†K summed in operator order (numpy sums the 1x1 products of d = 1 pairwise), 64 operators
+    # to a batched product: a d = 16 channel's 256 products at once would be a fresh 1 MB buffer,
+    # slower than the chunks
+    comp = None
+    for start in range(0, ops.shape[-3], 64):
+        stack = ops[..., start:start + 64, :, :]
+        products = np.swapaxes(stack.conj(), -1, -2) @ stack
+        comp = (products if comp is None else np.concatenate([comp, products], axis=-3)).sum(axis=-3, keepdims=True)
+    dev = np.abs(comp[..., 0, :, :] - np.eye(dim)).max(axis=(-2, -1))
+    failed = ~(dev <= HERMITICITY_TOL)
+    if failed.any():
+        raise ValueError(f"Kraus completeness violated: max|ΣK†K - 1| = {dev[failed][0]:.3e}")
+    return ops
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -139,24 +151,43 @@ def _weyl_ops(d: int) -> np.ndarray:
     return ops
 
 
-def depolarizing_channel(d: int, lam: float) -> KrausChannel:
-    """Kraus form of rho -> lam*rho + (1-lam)*1/d: the Weyl unitaries scaled by
-    √(lam + p) for the identity and √p for the others, p = (1 - lam)/d²."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"noise parameter must be in [0,1], got {lam}")
+def _in_unit_interval(x, what: str) -> np.ndarray:
+    """x as a float array, every value checked to lie in [0,1]; a refusal names the first that does not."""
+    x = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"{what} must be in [0,1], got {x[outside][0]}")
+    return x
+
+
+def depolarizing_kraus(d: int, lam) -> np.ndarray:
+    """Kraus operators of rho -> lam*rho + (1-lam)*1/d, stacked (d², d, d): the Weyl unitaries scaled
+    by √(lam + p) for the identity and √p for the others, p = (1 - lam)/d². An array of lam gives
+    one stack per value, (..., d², d, d)."""
+    lam = _in_unit_interval(lam, "noise parameter")
     p = (1.0 - lam) / d**2
-    scale = np.full(d * d, np.sqrt(p))
-    scale[0] = np.sqrt(lam + p)
-    return KrausChannel(d, scale[:, None, None] * _weyl_ops(d))
+    scale = np.repeat(np.sqrt(p)[..., None], d * d, axis=-1)
+    scale[..., 0] = np.sqrt(lam + p)
+    return scale[..., None, None] * _weyl_ops(d)
+
+
+def depolarizing_channel(d: int, lam: float) -> KrausChannel:
+    """The depolarising channel of `depolarizing_kraus`."""
+    return KrausChannel(d, depolarizing_kraus(d, lam))
+
+
+def amplitude_damping_kraus(gamma) -> np.ndarray:
+    """Qubit decay towards |0> with strength gamma: E0 = √γ|0><1|, E1 = √(1-γ)|1><1| + |0><0|, stacked
+    (2, 2, 2). An array of gamma gives one stack per value, (..., 2, 2, 2)."""
+    gamma = _in_unit_interval(gamma, "damping strength")
+    kraus = np.zeros((*gamma.shape, 2, 2, 2), dtype=complex)
+    kraus[..., 0, 0, 1], kraus[..., 1, 0, 0], kraus[..., 1, 1, 1] = np.sqrt(gamma), 1.0, np.sqrt(1.0 - gamma)
+    return kraus
 
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:
-    """Qubit decay towards |0> with strength gamma: E0 = √γ|0><1|, E1 = √(1-γ)|1><1| + |0><0|."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping strength must be in [0,1], got {gamma}")
-    e0 = np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)
-    e1 = np.array([[1, 0], [0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    return KrausChannel(2, (e0, e1))
+    """The amplitude-damping channel of `amplitude_damping_kraus`."""
+    return KrausChannel(2, amplitude_damping_kraus(gamma))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -206,14 +237,19 @@ def controller_state(d: int, spec) -> np.ndarray:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         if d != 2:
             raise ValueError("the eta0 diagonal family is defined for qubit controllers")
-        eta0 = float(spec)
-        if not 0.0 <= eta0 <= 1.0:
-            raise ValueError(f"eta0 must be in [0,1], got {eta0}")
-        return np.diag([eta0, 1.0 - eta0]).astype(complex)
+        return eta0_states(_in_unit_interval(spec, "eta0"))
     rho = np.asarray(spec, dtype=complex)
     if rho.shape != (d, d):
         raise ValueError(f"controller state must be {d}x{d}, got shape {rho.shape}")
     return check_density_matrix(rho, what="controller state")
+
+
+def eta0_states(eta0) -> np.ndarray:
+    """The qubit controller states diag(eta0, 1-eta0) of an array of eta0 in [0,1], stacked (..., 2, 2)."""
+    eta0 = np.asarray(eta0, dtype=float)
+    states = np.zeros((*eta0.shape, 2, 2), dtype=complex)
+    states[..., 0, 0], states[..., 1, 1] = eta0, 1.0 - eta0
+    return states
 
 
 def unitary_mapping(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

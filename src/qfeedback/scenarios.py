@@ -3,19 +3,22 @@ plus the config resolution used by the command-line front end.
 
 Each preset is one `Scenario` record in `SCENARIOS`: a noise channel and a
 controller reset state η shared by its protocols, per protocol label the
-in-loop stage as its stacked controller operators (J, d, d), its defaults and
-its closed-form oracle columns. The CLI and `validate` build
-every preset protocol from this table. `PARAMETERS` declares each config
-parameter once: its type, default, range and flag help, from which the
-defaults, the config check, the CLI flags and the sweep axes are read. A
-scenario resolves a flat config dict (parameter defaults < scenario defaults
-< config file < command-line overrides), and `metric_rows` computes the
-metric rows of many configs (a sweep, or the one point of `steady`) as one
-batch, with the oracle values wherever the oracle describes the protocol that
-was built: the noise, η and the stages are each built once per distinct value
-of the config keys they read, and each protocol label is built and solved as
-one stack. `build_protocols` builds a config's `FeedbackProtocol`s, for the
-commands and checks that step the cycle itself.
+in-loop stage, its defaults and its closed-form oracle columns. The noise and
+each stage are `Part`s: the config keys the part reads and a builder that
+returns the parts of a batch of configs as one stack (the noise's Kraus
+operators (P, n, d, d), a stage's controller operators (P, J, d, d)). The CLI
+and `validate` build every preset protocol from this table. `PARAMETERS`
+declares each config parameter once: its type, default, range and flag help,
+from which the defaults, the config check, the CLI flags and the sweep axes
+are read. A scenario resolves a flat config dict (parameter defaults <
+scenario defaults < config file < command-line overrides). `metric_rows`
+computes the metric rows of many configs (a sweep, or the one point of
+`steady`) as one batch, with the oracle values wherever the oracle describes
+the protocol that was built: a part whose keys take one value over the
+configs is built once, any other as one stack per block of points, once per
+distinct value and dropped with its block, and each protocol label is built
+and solved as one stack. `build_protocols` builds a config's
+`FeedbackProtocol`s, for the commands and checks that step the cycle itself.
 """
 
 from __future__ import annotations
@@ -43,12 +46,14 @@ from .loop import (
     steady_states,
     superoperators,
 )
-from .metrics import haar_avg_bitflip_fidelity, linear_entropy, purity, von_neumann_entropy
+from .metrics import haar_avg_bitflip_fidelity, steady_metrics
 from .quantum import (
-    amplitude_damping_channel,
+    KrausChannel,
+    amplitude_damping_kraus,
+    check_complete,
     controller_state,
-    depolarizing_channel,
-    identity_channel,
+    depolarizing_kraus,
+    eta0_states,
     pauli_x,
     qubit_unitary,
     rotation,
@@ -247,26 +252,49 @@ def _eta(cfg: dict) -> np.ndarray:
         raise ConfigError(f"bad eta spec {spec!r} at d={cfg['d']}: {exc}") from exc
 
 
-def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """In-loop POVM for the bit-flip task: {σ_x P0, σ_x P1}, P0 = diag(a, b)."""
-    p0 = np.diag([a, b]).astype(complex)
-    p1 = np.diag([math.sqrt(1.0 - a * a), math.sqrt(1.0 - b * b)]).astype(complex)
+def bitflip_povm_kraus(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """In-loop POVM for the bit-flip task: {σ_x P0, σ_x P1}, P0 = diag(a, b). Arrays of a and b
+    give a stack of each operator, (..., 2, 2)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    p0, p1 = np.zeros((2, *a.shape, 2, 2), dtype=complex)
+    p0[..., 0, 0], p0[..., 1, 1] = a, b
+    p1[..., 0, 0], p1[..., 1, 1] = np.sqrt(1.0 - a * a), np.sqrt(1.0 - b * b)
     return pauli_x @ p0, pauli_x @ p1
 
 
 # --- the scenario table ----------------------------------------------------
-# Noise, stage and oracle entries take the resolved config; a stage entry returns its controller operators.
 
-def _depolarizing(cfg: dict):
-    return depolarizing_channel(cfg["d"], cfg["lambda"])
+class Part(NamedTuple):
+    """A part of the protocols of a batch of configs of one scenario and d: the config keys it reads
+    besides those two, and its builder, which takes configs of such a batch and returns their parts
+    stacked on a leading point axis."""
+
+    keys: tuple[str, ...]
+    build: Callable[[list[dict]], np.ndarray]
 
 
-def _damping(cfg: dict):
-    return amplitude_damping_channel(cfg["gamma"])
+def _each(keys: tuple[str, ...], stage: Callable) -> Part:
+    """The Part of a stage built from one config at a time."""
+    return Part(keys, lambda cfgs: np.stack([stage(cfg) for cfg in cfgs]))
 
 
-def _noiseless(cfg: dict):
-    return identity_channel(cfg["d"])
+# Noise entries give the noise channels' Kraus operators, stage entries the in-loop stages' controller
+# operators, each stacked per config: (P, n, d, d) and (P, J, d, d).
+
+_DEPOLARIZING = Part(("lambda",), lambda cfgs: depolarizing_kraus(cfgs[0]["d"], [cfg["lambda"] for cfg in cfgs]))
+_DAMPING = Part(("gamma",), lambda cfgs: amplitude_damping_kraus([cfg["gamma"] for cfg in cfgs]))
+_NOISELESS = Part((), lambda cfgs: np.eye(cfgs[0]["d"], dtype=complex)[None, None].repeat(len(cfgs), axis=0))
+
+
+def _etas(cfgs: list[dict]) -> np.ndarray:
+    """The controller reset states of resolved configs of one d, stacked (P, d, d): those of an eta0
+    spec in one call."""
+    if all("eta0" in cfg["eta"] for cfg in cfgs):
+        return eta0_states([cfg["eta0"] for cfg in cfgs])
+    return np.stack([_eta(cfg) for cfg in cfgs])
+
+
+_ETA = Part(("eta", "eta0"), _etas)
 
 
 def _cool(cfg: dict):
@@ -274,10 +302,12 @@ def _cool(cfg: dict):
     return all_to_target_stage(cfg["d"], 0)
 
 
-def _cool_to_dominant(cfg: dict):
+def _cool_to_dominant(cfgs: list[dict]) -> np.ndarray:
     """Re-prepare the dominant state of the qubit η: |0> when <0|η|0> >= <1|η|1>, else |1>."""
-    eta = _eta(cfg)
-    return all_to_target_stage(cfg["d"], 0 if eta[0, 0].real >= eta[1, 1].real else 1)
+    eta = _etas(cfgs)
+    targets = np.where(eta[:, 0, 0].real >= eta[:, 1, 1].real, 0, 1)
+    stages = {target: all_to_target_stage(2, target) for target in dict.fromkeys(targets.tolist())}
+    return np.stack([stages[target] for target in targets.tolist()])
 
 
 def _do_nothing(cfg: dict):
@@ -298,6 +328,16 @@ def _coherent_loop(cfg: dict):
 def _repump(cfg: dict):
     """Measure, then repump to |1>: rotate by pi/2 on outcome 0, do nothing on outcome 1."""
     return projective_stage(2, (rotation(np.pi / 2), np.eye(2, dtype=complex)))
+
+
+def _bitflip_povm(cfgs: list[dict]) -> np.ndarray:
+    """The POVM stages of `bitflip_povm_kraus`, each checked complete as povm_stage checks one."""
+    kraus = bitflip_povm_kraus([cfg["a"] for cfg in cfgs], [cfg["b"] for cfg in cfgs])
+    return check_complete(np.stack(kraus, axis=1), 2)
+
+
+_COOL, _DO_NOTHING, _REPUMP = _each((), _cool), _each((), _do_nothing), _each((), _repump)
+_COHERENT_LOOP, _COOL_TO_DOMINANT = _each(("chi", "phi1"), _coherent_loop), Part(("eta", "eta0"), _cool_to_dominant)
 
 
 def _mf_noisy_oracle(cfg: dict) -> dict[str, float]:
@@ -332,143 +372,121 @@ class Scenario(NamedTuple):
 
     kind: str                     # "steady" (one protocol), "compare" (several) or "bitflip" (Haar fidelity)
     defaults: dict                # always holds the scenario's own η spec
-    noise: Callable
-    stages: dict[str, Callable]   # protocol label -> its in-loop stage's controller operators
+    noise: Part                   # the noise channel's Kraus operators
+    stages: dict[str, Part]       # protocol label -> its in-loop stage's controller operators
     qubit_only: bool
     oracle: Callable              # the oracle columns, valid at tau1 == tau2
     derived: Callable | None      # comparison columns read off the simulated row
 
 
-_NOISY, _CLEAN, _ETA = {"eta": {"preset": "noisy"}}, {"eta": {"preset": "clean"}}, {"eta": {"eta0": 0.5}}
+_NOISY, _CLEAN, _ETA0 = {"eta": {"preset": "noisy"}}, {"eta": {"preset": "clean"}}, {"eta": {"eta0": 0.5}}
 
 # name: Scenario(kind, defaults, noise, {label: stage}, qubit_only, oracle columns, derived columns)
 SCENARIOS: dict[str, Scenario] = {
-    "mf-noisy-cooling": Scenario("steady", _NOISY, _depolarizing, {"mf": _cool}, False, _mf_noisy_oracle, None),
+    "mf-noisy-cooling": Scenario("steady", _NOISY, _DEPOLARIZING, {"mf": _COOL}, False, _mf_noisy_oracle, None),
     "mf-clean-cooling": Scenario(
-        "steady", _CLEAN, _depolarizing, {"mf": _cool}, False,
+        "steady", _CLEAN, _DEPOLARIZING, {"mf": _COOL}, False,
         lambda c: {"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], 1.0)[0]} if c["d"] == 2 else {},
         None),
     "mf-eta-cooling": Scenario(
-        "steady", _ETA, _depolarizing, {"mf": _cool_to_dominant}, True,
+        "steady", _ETA0, _DEPOLARIZING, {"mf": _COOL_TO_DOMINANT}, True,
         lambda c: {"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"])[0]}, None),
-    "cf-noisy": Scenario("steady", _NOISY, _depolarizing, {"cf": _coherent_loop}, False,
+    "cf-noisy": Scenario("steady", _NOISY, _DEPOLARIZING, {"cf": _COHERENT_LOOP}, False,
                          lambda c: {"oracle_alpha0": 1.0 / c["d"]}, None),
     "cf-clean": Scenario(
-        "steady", _CLEAN, _depolarizing, {"cf": _coherent_loop}, False,
+        "steady", _CLEAN, _DEPOLARIZING, {"cf": _COHERENT_LOOP}, False,
         lambda c: {"oracle_alpha0": oracles.cf_clean_steady(c["d"], c["tau1"], c["lambda"])[0]} if _unrotated(c) else {},
         None),
     "cf-eta": Scenario(
-        "steady", _ETA, _depolarizing, {"cf": _coherent_loop}, False,
+        "steady", _ETA0, _DEPOLARIZING, {"cf": _COHERENT_LOOP}, False,
         lambda c: ({"oracle_entropy_linear": oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"])[1]}
                    if _unrotated(c) else {}),
         None),
-    "ad-cf": Scenario("steady", _NOISY, _damping, {"cf": lambda c: coherent_stage(2, rotation(c["chi"]))}, True,
-                      _ad_cf_oracle, None),
-    "ad-mf": Scenario("steady", _NOISY, _damping, {"mf": _repump}, True,
+    "ad-cf": Scenario("steady", _NOISY, _DAMPING, {"cf": _each(("chi",), lambda c: coherent_stage(2, rotation(c["chi"])))},
+                      True, _ad_cf_oracle, None),
+    "ad-mf": Scenario("steady", _NOISY, _DAMPING, {"mf": _REPUMP}, True,
                       lambda c: {"oracle_rho11": oracles.ad_occupations(c["tau1"], c["gamma"])[2]}, None),
     "clean-cooling-compare": Scenario(
-        "compare", _CLEAN, _depolarizing, {"mf": _cool, "cf": _do_nothing}, True,
+        "compare", _CLEAN, _DEPOLARIZING, {"mf": _COOL, "cf": _DO_NOTHING}, True,
         lambda c: dict(zip(("oracle_s_mf", "oracle_s_cf"), oracles.clean_qubit_entropies(c["tau1"], c["lambda"]))),
         _entropy_difference),
     "eta-cooling-compare": Scenario(
-        "compare", _ETA, _depolarizing, {"mf": _cool_to_dominant, "cf": _do_nothing}, True,
+        "compare", _ETA0, _DEPOLARIZING, {"mf": _COOL_TO_DOMINANT, "cf": _DO_NOTHING}, True,
         lambda c: dict(zip(("oracle_s_mf", "oracle_s_cf"), oracles.eta_entropies(c["tau1"], c["lambda"], c["eta0"]))),
         _entropy_difference),
     "ad-compare": Scenario(
-        "compare", _NOISY, _damping,
-        {"cf_chi0": lambda c: coherent_stage(2, rotation(0.0)),
-         "cf_chipi2": lambda c: coherent_stage(2, rotation(np.pi / 2)), "mf": _repump},
+        "compare", _NOISY, _DAMPING,
+        {"cf_chi0": _each((), lambda c: coherent_stage(2, rotation(0.0))),
+         "cf_chipi2": _each((), lambda c: coherent_stage(2, rotation(np.pi / 2))), "mf": _REPUMP},
         True,
         _ad_compare_oracle,
         _cf_verdict),
-    "bitflip-cf": Scenario("bitflip", _NOISY, _noiseless, {"cf": lambda c: coherent_stage(2, pauli_x)}, True,
+    "bitflip-cf": Scenario("bitflip", _NOISY, _NOISELESS, {"cf": _each((), lambda c: coherent_stage(2, pauli_x))}, True,
                            lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[0]}, None),
-    "bitflip-mf": Scenario("bitflip", _NOISY, _noiseless, {"mf": lambda c: projective_stage(2, (pauli_x, pauli_x))},
-                           True, lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[1]}, None),
+    "bitflip-mf": Scenario("bitflip", _NOISY, _NOISELESS,
+                           {"mf": _each((), lambda c: projective_stage(2, (pauli_x, pauli_x)))}, True,
+                           lambda c: {"oracle_fidelity": oracles.bitflip_line_fidelities(c["tau1"])[1]}, None),
     "bitflip-povm": Scenario(
-        "bitflip", _NOISY, _noiseless, {"mf": lambda c: povm_stage(2, bitflip_povm_kraus(c["a"], c["b"]))}, True,
+        "bitflip", _NOISY, _NOISELESS, {"mf": Part(("a", "b"), _bitflip_povm)}, True,
         lambda c: {"oracle_fidelity": oracles.bitflip_fidelity(c["tau1"], c["a"], c["b"])}, None),
 }
 
 
-def _stages(cfg: dict) -> dict[str, np.ndarray]:
-    """The in-loop stage of each protocol label of a resolved config, as its
-    stacked controller operators. A config `stage` (resolve_config admits one
-    only for a single-protocol scenario) replaces the scenario's own."""
+def _stages(cfg: dict) -> dict[str, Part]:
+    """The in-loop stage of each protocol label for configs of cfg's scenario
+    and d. A config `stage` (resolve_config admits one only for a
+    single-protocol scenario) replaces the scenario's own: cfg's is read and
+    checked here, before the scenario's qubit-only check."""
     scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
-    override = _stage_from_config(cfg["stage"], d) if "stage" in cfg else None
+    override = None
+    if "stage" in cfg:
+        override = _each(("stage",), lambda c: _stage_from_config(c["stage"], d))
+        override.build([cfg])  # its refusal comes before the qubit-only one
     if scenario.qubit_only and d != 2:
         raise ConfigError(f"scenario {cfg['scenario']!r} is qubit-only (d=2)")
-    return {label: stage(cfg) if override is None else override for label, stage in scenario.stages.items()}
+    return {label: override or stage for label, stage in scenario.stages.items()}
 
 
 def build_protocols(cfg: dict) -> dict[str, FeedbackProtocol]:
     """Instantiate the protocol(s) for a resolved config, keyed by label."""
-    stages = _stages(cfg)
-    noise, eta = SCENARIOS[cfg["scenario"]].noise(cfg), _eta(cfg)
+    stages = {label: stage.build([cfg])[0] for label, stage in _stages(cfg).items()}
+    noise = KrausChannel(cfg["d"], SCENARIOS[cfg["scenario"]].noise.build([cfg])[0])
+    eta = _etas([cfg])[0]
     return {label: FeedbackProtocol(d=cfg["d"], noise=noise, tau1=cfg["tau1"], tau2=cfg["tau2"], eta=eta, ops=ops)
             for label, ops in stages.items()}
 
 
-def _steady_metrics(rho: np.ndarray, gap: np.ndarray, prefix: str, spectrum: bool) -> dict[str, np.ndarray]:
-    """Metric columns of a stack of steady states (P, d, d) and their gaps, and the spectra (P, d) if asked."""
-    w = np.sort(np.linalg.eigvalsh(rho), axis=-1)[:, ::-1]
-    columns = {
-        f"{prefix}alpha0": w[:, 0],
-        f"{prefix}entropy_vn_norm": von_neumann_entropy(rho, normalised=True),
-        f"{prefix}entropy_linear": linear_entropy(rho),
-        f"{prefix}purity": purity(rho),
-        f"{prefix}rho11": rho[:, 1, 1].real,
-        f"{prefix}gap": gap,
-    }
-    return columns | {f"{prefix}spectrum": w} if spectrum else columns
+def _batch_parts(cfg: dict) -> dict:
+    """The parts of the protocols of configs of cfg's scenario and d, in the
+    order they are built, so that a stage's refusals (a qubit-only scenario at
+    d > 2) come before any noise is built: each label's stage, keyed
+    ("ops", label), then the noise Liouville matrix, of Kraus operators checked
+    complete as a KrausChannel checks them, and η."""
+    noise, d = SCENARIOS[cfg["scenario"]].noise, cfg["d"]
+    return ({("ops", label): stage for label, stage in _stages(cfg).items()}
+            | {"noise": Part(noise.keys, lambda cfgs: noise_liouville(check_complete(noise.build(cfgs), d))),
+               "eta": _ETA})
 
 
-# The parts of a sweep point: the config keys each reads, and its builder. They are built in this
-# order, so a stage's refusals (a qubit-only scenario at d > 2) come before any noise is built.
-_PARTS = {
-    "ops": (tuple(sorted(_CONFIG_KEYS - {"sweep", "tau", "tau1", "tau2", "lambda", "gamma"})), _stages),
-    "noise": (("scenario", "d", "lambda", "gamma"), lambda cfg: noise_liouville(SCENARIOS[cfg["scenario"]].noise(cfg))),
-    "eta": (("d", "eta", "eta0"), _eta),
-}
-
-
-def _point_parts(cfg: dict, built: dict) -> dict:
-    """η, the noise Liouville matrix and each protocol label's stacked
-    controller operators (`ops`) for one config. Each part is built once per
-    distinct value of the config keys it reads: `built` holds the parts
-    already built, keyed by part name and those values."""
-    parts = {}
-    for name, (keys, build) in _PARTS.items():
-        key = (name, repr([cfg.get(k) for k in keys]))
-        if key not in built:
-            built[key] = build(cfg)
-        parts[name] = built[key]
-    return parts
-
-
-def _block_columns(cfgs: list[dict], built: dict, spectrum: bool) -> tuple[dict[str, np.ndarray],
-                                                                           list[DegenerateSteadyStateError | None]]:
+def _block_columns(cfgs: list[dict], parts: dict, spectrum: bool) -> tuple[dict[str, np.ndarray],
+                                                                          list[DegenerateSteadyStateError | None]]:
     """Simulated metric columns of a block of configs of one scenario and d,
     with each protocol label built and solved as one stack, and for every
     point its DegenerateSteadyStateError, or None where its steady states are
-    unique. `built`: the parts of `_point_parts` built so far."""
+    unique. `parts`: the block's parts of `_batch_parts`, stacked."""
     scenario, d = SCENARIOS[cfgs[0]["scenario"]], cfgs[0]["d"]
-    parts = [_point_parts(cfg, built) for cfg in cfgs]
     tau1, tau2 = [cfg["tau1"] for cfg in cfgs], [cfg["tau2"] for cfg in cfgs]
-    eta, noise = np.stack([part["eta"] for part in parts]), np.stack([part["noise"] for part in parts])
     columns: dict[str, np.ndarray] = {}
     errors: list[DegenerateSteadyStateError | None] = [None] * len(cfgs)
     for label in scenario.stages:
-        ops = np.stack([part["ops"][label] for part in parts])
-        sops = superoperators(branch_liouvillians(tau1, tau2, eta, ops, noise), d)
+        sops = superoperators(branch_liouvillians(tau1, tau2, parts["eta"], parts["ops", label], parts["noise"]), d)
         if scenario.kind == "bitflip":  # the figure of merit is the Haar-averaged fidelity, not a steady state
             columns["haar_fidelity"] = np.array([haar_avg_bitflip_fidelity(m) for m in sops])
             continue
         states, second, degenerate = steady_states(sops, d)
         unique = np.flatnonzero(~degenerate)
         prefix = f"{label}_" if scenario.kind == "compare" else ""
-        for key, column in _steady_metrics(states[unique], 1.0 - second[unique], prefix, spectrum).items():
+        for key, column in steady_metrics(states[unique], 1.0 - second[unique], prefix, spectrum).items():
             columns[key] = np.full((len(cfgs), *column.shape[1:]), np.nan)
             columns[key][unique] = column
         for i in np.flatnonzero(degenerate):
@@ -476,20 +494,41 @@ def _block_columns(cfgs: list[dict], built: dict, spectrum: bool) -> tuple[dict[
     return columns, errors
 
 
+def _distinct_build(part: Part, cfgs: list[dict]) -> np.ndarray:
+    """The part's stack over configs, built (and so checked) once per distinct value of its keys."""
+    keys = [repr([cfg[k] for k in part.keys]) for cfg in cfgs]
+    distinct: dict = {}
+    for key, cfg in zip(keys, cfgs):
+        distinct.setdefault(key, cfg)
+    index = {key: i for i, key in enumerate(distinct)}
+    return part.build(list(distinct.values()))[[index[key] for key in keys]]
+
+
 def metric_rows(cfgs: list[dict], *, _spectrum: bool = False) -> list[dict[str, float] | DegenerateSteadyStateError]:
-    """The metric rows of resolved configs of one scenario and d (the points
-    of a sweep), computed as one batch per block of points whose L stacks fit
-    MAX_BLOCK_BYTES. A point whose steady state is degenerate gets its
-    DegenerateSteadyStateError in place of a row. `_spectrum` adds each steady
-    state's descending spectrum to its row, as the list `spectrum` (no CSV column)."""
-    d = cfgs[0]["d"]
-    built: dict = {}  # the parts built so far, shared by every block; the first point's parts size the blocks
-    n_outcomes = max(len(ops) for ops in _point_parts(cfgs[0], built)["ops"].values())
+    """The metric rows of resolved configs of one scenario and d, all with a
+    config stage or none (the points of a sweep), computed as one batch per
+    block of points whose L stacks fit MAX_BLOCK_BYTES. A part is built once
+    where the keys it reads take one value over the configs, and otherwise as
+    one stack per block, once per distinct value, which goes with its block. A
+    point whose steady state is degenerate gets its DegenerateSteadyStateError
+    in place of a row. `_spectrum` adds each steady state's descending spectrum
+    to its row, as the list `spectrum` (no CSV column)."""
+    first, d = cfgs[0], cfgs[0]["d"]
+    parts = _batch_parts(first)
+    varying = {key for key in {"scenario", "d", "stage"}.union(*(part.keys for part in parts.values()))
+               if any(cfg.get(key) != first.get(key) for cfg in cfgs)}
+    if not varying.isdisjoint({"scenario", "d"}) or ("stage" in varying and not all("stage" in cfg for cfg in cfgs)):
+        raise ValueError("a batch of configs needs one scenario and d, and a config stage in all or none")
+    shared = {name: part.build([first]) for name, part in parts.items()}  # the first point's refusals come first
+    n_outcomes = max(shared["ops", label].shape[1] for label in SCENARIOS[first["scenario"]].stages)
+    shared = {name: stack for name, stack in shared.items() if varying.isdisjoint(parts[name].keys)}
     size = max(1, MAX_BLOCK_BYTES // (16 * n_outcomes * d ** 4))
     rows = []
     for start in range(0, len(cfgs), size):
         block = cfgs[start:start + size]
-        columns, errors = _block_columns(block, built, _spectrum)
+        columns, errors = _block_columns(block, {
+            name: np.broadcast_to(shared[name], (len(block), *shared[name].shape[1:])) if name in shared
+            else _distinct_build(part, block) for name, part in parts.items()}, _spectrum)
         cells = {key: column.tolist() for key, column in columns.items()}  # Python floats, a spectrum a list
         rows += [error or _with_oracle(cfg, {key: values[i] for key, values in cells.items()})
                  for i, (cfg, error) in enumerate(zip(block, errors))]

@@ -26,7 +26,7 @@ from .loop import (DegenerateSteadyStateError, FeedbackProtocol, all_to_target_s
                    iterate_to_fixed_point, noise_liouville, povm_stage, sample_ensemble, stack, steady_state,
                    steady_states, superoperators, unstack)
 from .metrics import von_neumann_entropy
-from .quantum import (check_density_matrix, clean_state, depolarizing_channel, dm, identity_channel, ket,
+from .quantum import (check_density_matrix, clean_state, depolarizing_kraus, dm, identity_channel, ket,
                       maximally_mixed, random_density_matrix, random_kraus_channel, random_unitary, unitary_mapping)
 from .scenarios import ConfigError, build_protocols, metric_row, metric_rows, resolve_config
 from .weaklimit import effective_hamiltonian, first_order_defect, lie_closure_dim
@@ -259,7 +259,7 @@ def _cf_no_cooling_worst(protocols: int, seed: int) -> tuple[float, float]:
         d = int(rng.integers(2, 4))
         tau1, tau2 = rng.uniform(0.0, 1.0, 2)
         lam = rng.uniform(0.0, 0.98)
-        points.append((d, tau1, tau2, noise_liouville(depolarizing_channel(d, lam)),
+        points.append((d, tau1, tau2, noise_liouville(depolarizing_kraus(d, lam)),
                        coherent_stage(d, random_unitary(d, rng)), random_density_matrix(d, rng)))
     drops, devs = [], []
     for d in sorted({point[0] for point in points}):

@@ -17,19 +17,24 @@ read batched metric rows and Liouville stacks: one `FeedbackProtocol` and one
 `branch_liouvillians` is the other kind of reference: it builds the branch
 stack L with each Kraus tensor written out whole, as four outer products, and
 the blocked kernel `qfeedback.loop.branch_liouvillians` must reproduce it bit
-for bit.
+for bit. So are `point_parts`, the parts of one sweep point built alone, as a
+sweep built them before it built them per axis and block, and
+`bitflip_fidelities`, the Haar quadrature's integrand with every node array
+computed at each call: `scenarios.metric_rows` and
+`metrics.haar_avg_bitflip_fidelity` must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qfeedback.loop import (FeedbackProtocol, _liouville, build_superoperator, coherent_stage, cycle_unconditional,
-                            stack, steady_state)
-from qfeedback.metrics import _bitflip_fidelities, von_neumann_entropy
-from qfeedback.quantum import (KrausChannel, check_density_matrix, depolarizing_channel, hermitize, ket,
-                               maximally_mixed, partial_swap, random_density_matrix, random_unitary)
-from qfeedback.scenarios import _steady_metrics, _with_oracle, build_protocols, resolve_config
+from qfeedback import scenarios
+from qfeedback.loop import (FeedbackProtocol, _liouville, all_to_target_stage, apply, build_superoperator,
+                            coherent_stage, cycle_unconditional, povm_stage, stack, steady_state)
+from qfeedback.metrics import _bitflip_fidelities, _fidelity_inputs, steady_metrics, von_neumann_entropy
+from qfeedback.quantum import (KrausChannel, _weyl_ops, check_density_matrix, depolarizing_channel, hermitize, ket,
+                               maximally_mixed, partial_swap, pauli_x, random_density_matrix, random_unitary)
+from qfeedback.scenarios import SCENARIOS, _with_oracle, build_protocols, resolve_config
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +169,65 @@ def haar_avg_bitflip_fidelity_mc(p, samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
     psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return float(_bitflip_fidelities(build_superoperator(p), psi).mean())
+    return float(_bitflip_fidelities(build_superoperator(p), _fidelity_inputs(psi)).mean())
+
+
+def bitflip_fidelities(sop: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<ψ_X|Φ(|ψ><ψ|)|ψ_X> for each row ψ of psi, with ψ_X = σ_x ψ: the projectors, the targets
+    and their conjugates computed at the call."""
+    outs = apply(sop, np.einsum("na,nb->nab", psi, psi.conj()))
+    targets = psi @ pauli_x.T
+    return np.einsum("na,nab,nb->n", targets.conj(), outs, targets).real
+
+
+def depolarizing_kraus(d: int, lam: float) -> np.ndarray:
+    """The Kraus operators (d², d, d) of one depolarising channel."""
+    p = (1.0 - lam) / d**2
+    scale = np.full(d * d, np.sqrt(p))
+    scale[0] = np.sqrt(lam + p)
+    return scale[:, None, None] * _weyl_ops(d)
+
+
+def amplitude_damping_kraus(gamma: float) -> np.ndarray:
+    """The Kraus operators (2, 2, 2) of one amplitude-damping channel."""
+    e0 = np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)
+    e1 = np.array([[1, 0], [0, np.sqrt(1.0 - gamma)]], dtype=complex)
+    return np.stack([e0, e1])
+
+
+def bitflip_povm_kraus(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bit-flip POVM {σ_x P0, σ_x P1}, P0 = diag(a, b), of one point."""
+    p0 = np.diag([a, b]).astype(complex)
+    p1 = np.diag([np.sqrt(1.0 - a * a), np.sqrt(1.0 - b * b)]).astype(complex)
+    return pauli_x @ p0, pauli_x @ p1
+
+
+def point_parts(cfg: dict) -> dict:
+    """The parts of `scenarios._batch_parts` of one resolved config, keyed as there, built for that
+    point alone: the noise Liouville matrix of its own Kraus operators, η, and each label's stage,
+    with the axis-batched stages (`bitflip-povm`'s POVM and the dominant-state cooling of an η)
+    built from their per-point formulas and every other stage by its builder on this one config."""
+    scenario, d = SCENARIOS[cfg["scenario"]], cfg["d"]
+    if scenario.noise is scenarios._DEPOLARIZING:
+        kraus = depolarizing_kraus(d, cfg["lambda"])
+    elif scenario.noise is scenarios._DAMPING:
+        kraus = amplitude_damping_kraus(cfg["gamma"])
+    else:
+        kraus = np.eye(d, dtype=complex)[None]
+    spec = cfg["eta"]
+    eta = np.diag([cfg["eta0"], 1.0 - cfg["eta0"]]).astype(complex) if "eta0" in spec else scenarios._eta(cfg)
+    parts = {"noise": _liouville(kraus, np.ones(len(kraus))), "eta": eta}
+    for label, stage in scenario.stages.items():
+        if "stage" in cfg:
+            ops = scenarios._stage_from_config(cfg["stage"], d)
+        elif stage is scenarios._COOL_TO_DOMINANT:
+            ops = all_to_target_stage(d, 0 if eta[0, 0].real >= eta[1, 1].real else 1)
+        elif scenario.kind == "bitflip" and stage.keys == ("a", "b"):
+            ops = povm_stage(2, bitflip_povm_kraus(cfg["a"], cfg["b"]))
+        else:
+            ops = stage.build([cfg])[0]
+        parts["ops", label] = ops
+    return parts
 
 
 def branch_liouvillians(tau1, tau2, eta: np.ndarray, ops: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -199,7 +262,7 @@ def steady_row(cfg: dict, _spectrum: bool = False) -> dict:
     `steady_state`, with the spectrum of `eigvalsh` under `spectrum` if `_spectrum` is set."""
     (p,) = build_protocols(cfg).values()
     rho, gap = steady_state(p)
-    columns = _steady_metrics(rho[None], np.array([gap]), "", False)
+    columns = steady_metrics(rho[None], np.array([gap]))
     row = _with_oracle(cfg, {key: float(column[0]) for key, column in columns.items()})
     return row | {"spectrum": np.sort(np.linalg.eigvalsh(rho))[::-1].tolist()} if _spectrum else row
 

@@ -19,6 +19,7 @@ from qfeedback.quantum import depolarizing_channel, maximally_mixed, random_unit
 from qfeedback.scenarios import PARAMETERS, SCENARIOS, build_protocols, metric_row, resolve_config
 
 import reference
+import test_output_bytes
 
 
 def run_cli(*args, cwd=None):
@@ -42,14 +43,19 @@ def test_steady_cf_clean_is_pure():
 
 
 def test_steady_cf_noisy_is_maximally_mixed():
-    """The text `spectrum: 0.5, 0.5` holds on the default OpenBLAS kernel and with
-    OPENBLAS_CORETYPE=Haswell or Sandybridge; under Prescott one eigenvalue
-    prints as 0.499999999999999."""
+    """Every build prints a spectrum within 1e-15 of (0.5, 0.5). The text
+    `spectrum: 0.5, 0.5` is pinned on the build of tests/test_output_bytes.py
+    only: under OPENBLAS_CORETYPE=Prescott one eigenvalue prints as
+    0.499999999999999."""
     # any in-loop unitary: a rotated loop still cannot beat the mixed controller
     r = run_cli("steady", "--scenario", "cf-noisy", "--tau", "0.3", "--lambda", "0.8",
                 "--chi", "0.7", "--phi1", "0.4")
     assert r.returncode == 0
-    assert "spectrum: 0.5, 0.5" in r.stdout
+    (line,) = [line for line in r.stdout.splitlines() if line.startswith("spectrum: ")]
+    spectrum = [float(x) for x in line.removeprefix("spectrum: ").split(", ")]
+    assert len(spectrum) == 2 and all(abs(alpha - 0.5) <= 1e-15 for alpha in spectrum)
+    if test_output_bytes.on_pinned_build():
+        assert "spectrum: 0.5, 0.5" in r.stdout
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -1106,23 +1112,160 @@ def test_sweep_rows_equal_pointwise_metric_rows(monkeypatch, config, axes, block
             assert row == metric_row(point_cfg)  # exact, cell by cell
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bits of a float or complex array, as unsigned integers."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint64) if a.dtype.kind in "fc" else a
+
+
+@pytest.mark.parametrize("config,axes", [case[1:] for case in _sweep_cases()], ids=[case[0] for case in _sweep_cases()])
+def test_sweep_configs_equal_pointwise_resolve_config(config, axes):
+    """The configs a sweep builds by assignment are those that resolve_config gives
+    point by point: equal, with the same types (their reprs match)."""
+    parsed = [cli._parse_axis(spec) for spec in axes]
+    names = [name for name, _ in parsed]
+    cfg = resolve_config(config, axes=tuple(names))
+    want = [resolve_config(cfg, dict(zip(names, map(float, values))))
+            for values in itertools.product(*(v for _, v in parsed))]
+    got = cli._sweep_configs(cfg, parsed)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def _first_refusal(config: dict, axes: list[str]) -> str:
+    """The message of the first point that resolve_config refuses, point by point."""
+    parsed = [cli._parse_axis(spec) for spec in axes]
+    names = [name for name, _ in parsed]
+    cfg = resolve_config(config, axes=tuple(names))
+    for values in itertools.product(*(v for _, v in parsed)):
+        try:
+            resolve_config(cfg, dict(zip(names, map(float, values))))
+        except cli.ConfigError as exc:
+            return str(exc)
+    raise AssertionError("no point is refused")
+
+
+@pytest.mark.parametrize("config,axes", [
+    ({"scenario": "mf-noisy-cooling"}, ["tau=0.5:1.5:3"]),
+    ({"scenario": "mf-noisy-cooling"}, ["lambda=1:-1:5"]),
+    ({"scenario": "mf-noisy-cooling"}, ["tau=0:1:3", "lambda=0.5:1.5:3"]),
+    ({"scenario": "mf-noisy-cooling"}, ["lambda=0.5:1.5:3", "tau=-1:1:3"]),
+    ({"scenario": "ad-compare"}, ["tau=0:1:4", "gamma=0:1e300:4"]),
+    ({"scenario": "cf-clean"}, ["tau=0:1:3", "phi1=1:nan:2"]),
+    ({"scenario": "mf-eta-cooling"}, ["eta0=0:2:5"]),
+    ({"scenario": "eta-cooling-compare"}, ["lambda=0:1:2", "eta0=0.5:-0.5:3"]),
+    ({"scenario": "mf-noisy-cooling", "d": 3}, ["eta0=0:1:3"]),
+    ({"scenario": "mf-noisy-cooling"}, ["tau=0:1:3", "tau2=0:1:3"]),
+    ({"scenario": "mf-noisy-cooling", "tau1": 0.2}, ["tau1=0.9:1.1:3", "tau2=0:1:3"]),
+    ({"scenario": "bitflip-povm"}, ["a=0:1:3", "b=0:1.5:3"]),
+], ids=["tau-3rd", "lambda-4th", "2axis-3rd", "2axis-first-axis", "gamma-huge", "phi1-nan", "eta0", "eta0-2axis",
+        "eta0-d3", "tau-and-tau2", "tau1-2axis", "povm-b"])
+def test_sweep_configs_refuse_the_first_bad_point_as_resolve_config_does(config, axes):
+    message = _first_refusal(config, axes)
+    parsed = [cli._parse_axis(spec) for spec in axes]
+    cfg = resolve_config(config, axes=tuple(name for name, _ in parsed))
+    with pytest.raises(cli.ConfigError) as refusal:
+        cli._sweep_configs(cfg, parsed)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "many-blocks"])
+@pytest.mark.parametrize("config,axes", [case[1:] for case in _sweep_cases()], ids=[case[0] for case in _sweep_cases()])
+def test_sweep_parts_are_bitwise_the_per_point_parts(monkeypatch, config, axes, blocks):
+    """Each part that a sweep block stacks, whether built once for the sweep or per block as one
+    stack, holds at every point the bits of that point's part built alone (tests/reference.py)."""
+    from qfeedback import scenarios
+
+    if blocks == "many-blocks":  # 16·J·d⁴ bytes per point: at most two points per block
+        monkeypatch.setattr(scenarios, "MAX_BLOCK_BYTES", 2 * 16 * 2 ** 4)
+    seen = []
+    block_columns = scenarios._block_columns
+    monkeypatch.setattr(scenarios, "_block_columns", lambda cfgs, parts, spectrum:
+                        seen.append((cfgs, parts)) or block_columns(cfgs, parts, spectrum))
+    parsed = [cli._parse_axis(spec) for spec in axes]
+    cfgs = cli._sweep_configs(resolve_config(config, axes=tuple(name for name, _ in parsed)), parsed)
+    scenarios.metric_rows(cfgs)
+    assert [cfg for block, _ in seen for cfg in block] == cfgs
+    assert blocks == "one-block" or len(seen) > 1
+    for block, parts in seen:
+        for i, cfg in enumerate(block):
+            want = reference.point_parts(cfg)
+            assert parts.keys() == want.keys()
+            for name, stack in parts.items():
+                assert np.array_equal(_bits(stack[i]), _bits(want[name])), (name, i)
+
+
+def test_metric_rows_refuses_a_batch_of_mixed_scenarios_dimensions_or_config_stages():
+    """Its parts are built for the first config's scenario, d and config stage (or none)."""
+    from qfeedback import scenarios
+
+    stage = {"type": "cf", "unitary": [[0, 1], [1, 0]]}
+    for other in ({"scenario": "mf-clean-cooling"}, {"d": 3}, {"stage": stage}):
+        cfgs = [resolve_config({"scenario": "mf-noisy-cooling"}), resolve_config({"scenario": "mf-noisy-cooling"} | other)]
+        for batch in (cfgs, cfgs[::-1]):
+            with pytest.raises(ValueError, match="a batch of configs needs one scenario and d"):
+                scenarios.metric_rows(batch)
+
+
+def test_sweep_memory_does_not_grow_with_the_points():
+    """A sweep's parts that depend on an axis go with their block: beyond the rows
+    it returns, a 96-point d = 8 lambda sweep of blocks of 8 points peaks where an
+    8-point one does. Keeping each point's 65 KB noise matrix to the end of the
+    sweep would add about 5.8 MB."""
+    from qfeedback import scenarios
+
+    def peak_beyond_rows(n_points: int) -> int:
+        lams = np.linspace(0.05, 0.95, n_points).tolist()
+        cfgs = [resolve_config({"scenario": "cf-noisy", "d": 8, "tau": 0.4, "lambda": lam}) for lam in lams]
+        tracemalloc.start()
+        try:
+            rows = scenarios.metric_rows(cfgs)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == n_points
+        return peak - current
+
+    size = 8 * 16 * 8 ** 4  # the L stacks of 8 points of one outcome
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(scenarios, "MAX_BLOCK_BYTES", size)
+        small, large = peak_beyond_rows(8), peak_beyond_rows(96)
+    assert large < small + size / 8  # within one point's L
+
+
 def test_sweep_parts_are_built_once_per_value_of_the_keys_they_read(monkeypatch):
     from qfeedback import scenarios
 
-    ops_calls, noise_calls = [], []
+    ops_calls, noise_calls, target_calls = [], [], []
     for stage in (scenarios.coherent_stage, scenarios.projective_stage):
         monkeypatch.setattr(scenarios, stage.__name__, lambda d, *args, build=stage:
                             ops_calls.append(build.__name__) or build(d, *args))
-    depolarizing = scenarios.depolarizing_channel
-    monkeypatch.setattr(scenarios, "depolarizing_channel", lambda d, lam: noise_calls.append(lam) or depolarizing(d, lam))
+    depolarizing = scenarios.depolarizing_kraus
+    monkeypatch.setattr(scenarios, "depolarizing_kraus", lambda d, lam: noise_calls.append(lam) or depolarizing(d, lam))
+    to_target = scenarios.all_to_target_stage
+    monkeypatch.setattr(scenarios, "all_to_target_stage", lambda d, t: target_calls.append(t) or to_target(d, t))
     # the stages do not read gamma: one build per label along a gamma axis
     cfg = resolve_config({"scenario": "ad-compare"})
     scenarios.metric_rows([resolve_config(cfg, {"gamma": x}) for x in np.linspace(0.1, 0.9, 5)])
     assert sorted(ops_calls) == ["coherent_stage", "coherent_stage", "projective_stage"]
-    # the noise does not read eta0: one build along an eta0 axis
+    # the noise does not read eta0: one build along an eta0 axis; the do-nothing stage does not read
+    # it either, and the cooling stage re-prepares one of two states: each is built once per block
+    ops_calls.clear()
     cfg = resolve_config({"scenario": "eta-cooling-compare"})
     scenarios.metric_rows([resolve_config(cfg, {"eta0": x}) for x in np.linspace(0.0, 1.0, 5)])
-    assert noise_calls == [cfg["lambda"]]
+    assert noise_calls == [[cfg["lambda"]]]
+    assert ops_calls == ["coherent_stage"]
+    assert target_calls == [1, 1, 0]  # the first point's (eta0 = 0 re-prepares |1>), then the block's two
+    # along a lambda axis the noise of the block is one stack, after the first point's own
+    noise_calls.clear()
+    lams = np.linspace(0.1, 0.9, 5).tolist()
+    scenarios.metric_rows([resolve_config({"scenario": "cf-noisy"}, {"lambda": x}) for x in lams])
+    assert noise_calls == [lams[:1], lams]
+    # and on a tau x lambda grid once per distinct lambda of the block
+    noise_calls.clear()
+    scenarios.metric_rows([resolve_config({"scenario": "cf-noisy"}, {"tau": t, "lambda": x})
+                           for t in (0.2, 0.5, 0.8) for x in lams[:2]])
+    assert noise_calls == [lams[:1], lams[:2]]
 
 
 def test_sweep_blocks_share_the_parts_built_so_far(monkeypatch):
@@ -1148,23 +1291,19 @@ _OTHER_VALUES = {"scenario": "cf-clean", "d": 3, "tau": 0.3, "tau1": 0.35, "tau2
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_each_sweep_part_reads_only_its_declared_keys(name):
-    """A part is reused at every point that agrees on its declared keys, so a
-    key that it reads but does not declare would leave a stale part: changing
-    any other key must give the same part."""
+    """A part is built once for all the points of a batch (of one scenario and
+    d) that agree on its declared keys, so a key that it reads but does not
+    declare would leave a stale part: changing any other key must give the same
+    part."""
     from qfeedback import scenarios
 
     assert _OTHER_VALUES.keys() == scenarios._CONFIG_KEYS - {"sweep"}
     cfg = resolve_config({"scenario": name})
-    other = _OTHER_VALUES | ({"scenario": "mf-noisy-cooling"} if name == "cf-clean" else {})
-    for part, (keys, build) in scenarios._PARTS.items():
-        want = build(cfg)
-        for key in sorted(other.keys() - set(keys)):
-            assert cfg.get(key) != other[key], key
-            got = build(cfg | {key: other[key]})
-            if part == "ops":
-                assert want.keys() == got.keys() and all(np.array_equal(want[k], got[k]) for k in want), key
-            else:
-                assert np.array_equal(want, got), (part, key)
+    for part_name, part in scenarios._batch_parts(cfg).items():
+        want = part.build([cfg])
+        for key in sorted(_OTHER_VALUES.keys() - set(part.keys) - {"scenario", "d"}):
+            assert cfg.get(key) != _OTHER_VALUES[key], key
+            assert np.array_equal(want, part.build([cfg | {key: _OTHER_VALUES[key]}])), (part_name, key)
 
 
 def test_every_bitflip_scenario_is_qubit_only_with_identity_noise():
@@ -1175,7 +1314,7 @@ def test_every_bitflip_scenario_is_qubit_only_with_identity_noise():
         assert SCENARIOS[name].qubit_only
         for lam, gamma in itertools.product((0.0, 0.3, 1.0), (0.0, 0.7, 1.0)):
             cfg = resolve_config({"scenario": name, "lambda": lam, "gamma": gamma})
-            assert np.array_equal(SCENARIOS[name].noise(cfg).kraus, np.eye(2)[None])
+            assert np.array_equal(SCENARIOS[name].noise.build([cfg]), np.eye(2)[None, None])
 
 
 def test_sweep_takes_one_haar_average_per_bitflip_point(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfeedback import loop, oracles
+from qfeedback import loop, oracles, scenarios
 from qfeedback.loop import (
     MAX_DIM,
     MAX_THREADS,
@@ -17,6 +17,7 @@ from qfeedback.loop import (
     _branch_liouvillians,
     _entropy_batch,
     _hygiene_batch,
+    _liouville,
     _traces,
     all_to_target_stage,
     apply,
@@ -38,8 +39,11 @@ from qfeedback.loop import (
 from qfeedback.metrics import purity, von_neumann_entropy
 from qfeedback.quantum import (
     amplitude_damping_channel,
+    amplitude_damping_kraus,
     depolarizing_channel,
+    depolarizing_kraus,
     dm,
+    eta0_states,
     identity_channel,
     ket,
     max_abs,
@@ -497,14 +501,14 @@ def test_batched_build_matches_one_protocol_at_a_time():
         batch = branch_liouvillians([p.tau1 for p in protocols], [p.tau2 for p in protocols],
                                     np.stack([p.eta for p in protocols]),
                                     np.stack([p.ops for p in protocols]),
-                                    np.stack([noise_liouville(p.noise) for p in protocols]))
+                                    np.stack([noise_liouville(p.noise.kraus) for p in protocols]))
         for p, L in zip(protocols, batch):
             assert np.array_equal(L, p.L)
 
 
 def test_batched_build_checks_every_point():
     p = mf_cooling(2, 0.5, 0.5)
-    ops, noise = p.ops[None], noise_liouville(p.noise)[None]
+    ops, noise = p.ops[None], noise_liouville(p.noise.kraus)[None]
     eta = np.stack([maximally_mixed(2)] * 2)
     with pytest.raises(ValueError, match=r"tau2 must be in \[0,1\], got 1.5"):
         branch_liouvillians([0.5, 0.5], [0.5, 1.5], eta, ops.repeat(2, 0), noise.repeat(2, 0))
@@ -539,7 +543,7 @@ def test_blocked_build_is_bitwise_the_four_outer_products(d):
     stages = {"coherent": coherent_stage(d, random_unitary(d, rng)), "projective": all_to_target_stage(d, 1)}
     if d < 16:
         stages["povm"] = povm_stage(d, random_kraus_channel(d, d, rng).kraus)
-    noise = noise_liouville(depolarizing_channel(d, rng.uniform(0.1, 1.0)))
+    noise = noise_liouville(depolarizing_channel(d, rng.uniform(0.1, 1.0)).kraus)
     values = [0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)]
     taus = list(itertools.product(values, values))
     for (sn, ops), (en, eta) in itertools.product(stages.items(), _reset_states(d, rng).items()):
@@ -564,9 +568,33 @@ def test_blocked_build_is_bitwise_the_reference_in_any_block(monkeypatch, pairs_
     kinds = ["maximally-mixed", "pure", "mixed", "rank-deficient", "maximally-mixed", "pure", "mixed", "mixed"]
     eta = np.stack([etas[k] for k in kinds])
     ops = np.stack([np.stack(random_kraus_channel(d, d, rng).kraus) for _ in kinds])
-    noise = np.stack([noise_liouville(depolarizing_channel(d, lam)) for lam in rng.uniform(0.1, 1.0, len(kinds))])
+    noise = np.stack([noise_liouville(depolarizing_channel(d, lam).kraus) for lam in rng.uniform(0.1, 1.0, len(kinds))])
     args = (rng.uniform(0, 1, len(kinds)), rng.uniform(0, 1, len(kinds)), eta, ops, noise)
     assert np.array_equal(_bits(branch_liouvillians(*args)), _bits(reference.branch_liouvillians(*args)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_batched_noise_and_reset_parts_are_bitwise_each_points(d):
+    """The noise Liouville matrices of a stack of depolarising channels (and, at
+    d = 2, of amplitude-damping channels), and the eta0 reset states and bit-flip
+    POVM stages of a batch, are bit for bit those built one point at a time
+    (tests/reference.py)."""
+    rng = np.random.default_rng(270 + d)
+    values = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 13)])
+
+    def one(kraus):
+        return _liouville(kraus, np.ones(len(kraus)))
+
+    batches = [(noise_liouville(depolarizing_kraus(d, values)), [one(reference.depolarizing_kraus(d, x)) for x in values])]
+    if d == 2:
+        batches.append((noise_liouville(amplitude_damping_kraus(values)),
+                        [one(reference.amplitude_damping_kraus(x)) for x in values]))
+        batches.append((eta0_states(values), [np.diag([x, 1.0 - x]).astype(complex) for x in values]))
+        b = rng.permutation(values)
+        batches.append((scenarios._bitflip_povm([{"a": x, "b": y} for x, y in zip(values, b)]),
+                        [povm_stage(2, reference.bitflip_povm_kraus(x, y)) for x, y in zip(values, b)]))
+    for batch, points in batches:
+        assert np.array_equal(_bits(batch), _bits(np.stack(points)))
 
 
 def _traced_peak(build):

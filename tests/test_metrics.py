@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from qfeedback.loop import FeedbackProtocol, build_superoperator, coherent_stage, povm_stage, projective_stage
+from qfeedback.loop import FeedbackProtocol, build_superoperator, coherent_stage, povm_stage, projective_stage, stack
 from qfeedback.metrics import _bloch_states, haar_avg_bitflip_fidelity, linear_entropy, von_neumann_entropy
 from qfeedback.quantum import (
     controller_state,
@@ -16,7 +16,7 @@ from qfeedback.quantum import (
 )
 from qfeedback.scenarios import bitflip_povm_kraus
 
-from reference import fidelity_to_pure, haar_avg_bitflip_fidelity_mc
+from reference import bitflip_fidelities, fidelity_to_pure, haar_avg_bitflip_fidelity_mc
 
 
 def test_entropy_pure_state_is_zero():
@@ -119,12 +119,33 @@ def test_haar_avg_invariant_under_x_rotation_conjugation():
 
 
 def test_haar_grid_is_cached_read_only():
-    psi, w, _ = _bloch_states(8)
+    psi, w, _, inputs = _bloch_states(8)
     assert _bloch_states(8)[0] is psi
-    with pytest.raises(ValueError):
-        psi[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        w[0] = 0.0
+    for a in (psi, w, *inputs):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("nodes", [4, 8, 32])
+def test_cached_haar_nodes_are_bitwise_the_recomputed_ones(nodes):
+    """The node arrays cached with the quadrature grid hold the bits of those
+    computed from the grid at each call, and the Haar average of a cycle over
+    them holds the bits of the average over the recomputed ones."""
+    psi, w, n_phi, (projectors, targets, conj_targets) = _bloch_states(nodes)
+    for got, want in ((projectors, stack(np.einsum("na,nb->nab", psi, psi.conj()))),
+                      (targets, psi @ pauli_x.T), (conj_targets, (psi @ pauli_x.T).conj())):
+        assert np.array_equal(_bits(got), _bits(want))
+    rng = np.random.default_rng(nodes)
+    sops = [build_superoperator(FeedbackProtocol(2, identity_channel(2), tau, tau, maximally_mixed(2),
+                                                 povm_stage(2, bitflip_povm_kraus(a, b))))
+            for tau, a, b in rng.uniform(0.0, 1.0, (4, 3))]
+    for sop in sops + [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))]:
+        want = float(0.5 * np.sum(w * bitflip_fidelities(sop, psi).reshape(nodes, n_phi).mean(axis=1)))
+        assert np.array_equal(_bits(np.array([haar_avg_bitflip_fidelity(sop, nodes)])), _bits(np.array([want])))
 
 
 def test_haar_avg_cf_independent_of_eta0():

@@ -75,9 +75,17 @@ def output_hashes(tmp: Path) -> dict[str, str]:
     return hashes
 
 
+def _pinned_build(manifest: dict) -> dict:
+    return {key: manifest[key] for key in ("numpy", "openblas", "core")}
+
+
+def on_pinned_build() -> bool:
+    """Whether this is the build the output bytes are pinned on."""
+    return this_build() == _pinned_build(json.loads(MANIFEST.read_text()))
+
+
 def _skip_unless_pinned_build(manifest: dict) -> None:
-    pinned = {key: manifest[key] for key in ("numpy", "openblas", "core")}
-    build = this_build()
+    pinned, build = _pinned_build(manifest), this_build()
     if build != pinned:
         pytest.skip(f"output bytes are pinned on {pinned}; this build is {build}")
 
